@@ -123,8 +123,9 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
     sweep = default_sweep_deltas() if deltas is None else tuple(deltas)
     if not sweep:
         raise InvalidDeltasError("at least one utilization factor required")
-    if not (math.isfinite(sweep[0]) and sweep[0] >= 1.0):
-        raise InvalidDeltasError(f"factors must be >= 1, got {sweep[0]}")
+    for delta in sweep:
+        if not (math.isfinite(delta) and delta >= 1.0):
+            raise InvalidDeltasError(f"factors must be finite and >= 1, got {delta}")
     for a, b in zip(sweep, sweep[1:]):
         if not b > a:
             raise InvalidDeltasError(f"factors must be strictly increasing, got {a} then {b}")

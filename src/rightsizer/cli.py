@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ DEFAULT_DELTA = 1.5
 DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
 FORMATS = ("json", "text", "csv")
 _EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
+_CASE_FILE = re.compile(r"case-[0-9]+\.json")
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_config(args, sweep: bool) -> RunConfig:
-    if not sweep and not args.delta >= 1.0:
-        raise ConfigError(f"--delta must be >= 1 (utilization factor), got {args.delta}")
+    if not sweep and not (math.isfinite(args.delta) and args.delta >= 1.0):
+        raise ConfigError(f"--delta must be finite and >= 1 (utilization factor), got {args.delta}")
     if args.hours_per_year < 1:
         raise ConfigError(f"--hours-per-year must be >= 1, got {args.hours_per_year}")
     return RunConfig(
@@ -161,6 +163,10 @@ def cmd_sweep(args) -> int:
     catalog, fleet = _load_inputs(config)
     result = run_sweep(fleet, catalog, config.sweep_deltas, config.hours_per_year)
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    # case files of an earlier, longer sweep would outlive this one's
+    for stale in config.output_dir.glob("case-*.json"):
+        if _CASE_FILE.fullmatch(stale.name):
+            stale.unlink()
 
     _emit(config.output_dir, "sweep_report", config.format,
           reports.sweep_report_payload(result),

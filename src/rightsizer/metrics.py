@@ -7,12 +7,12 @@ capacity of the instance type it currently runs on.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
-from ._csvio import iter_rows
+from ._csvio import column_count_error, data_reader, iter_rows
 from .catalog import Catalog
 from .errors import (
     DuplicateKeyError,
@@ -31,14 +31,6 @@ BINDINGS_HEADER = ("workload_id", "current_type")
 class Metric(str, Enum):
     CPU = "cpu"
     MEM = "mem"
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    workload_id: str
-    timestamp: int  # seconds since epoch
-    metric: Metric
-    value: float    # percent of the running instance's capacity, 0..100
 
 
 @dataclass(frozen=True)
@@ -79,49 +71,139 @@ class Fleet:
         return len(self.workloads)
 
 
-IngestedMetrics = dict[str, dict[Metric, list[MetricSample]]]
+class SeriesAccumulator:
+    """Exact running sums of one utilization series.
+
+    Every finite float is a dyadic rational, so the values seen so far are all
+    integer multiples of 1/`unit` for the largest power-of-two denominator
+    among them. `total` and `total_sq` hold the sum and the sum of squares of
+    those integers as Python ints, so mean and variance are exact rationals
+    however many samples arrive. A value with a larger denominator moves the
+    sums onto its finer grid first. `timestamps` holds the sample times seen
+    during ingest, for duplicate detection.
+    """
+
+    __slots__ = ("count", "total", "total_sq", "unit", "timestamps")
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0
+        self.total_sq = 0
+        self.unit = 1
+        self.timestamps: set[int] = set()
+
+    def add(self, value: float) -> None:
+        numerator, denominator = value.as_integer_ratio()
+        if denominator > self.unit:
+            # both are powers of two, so the ratio is an exact integer
+            scale = denominator // self.unit
+            self.total *= scale
+            self.total_sq *= scale * scale
+            self.unit = denominator
+        scaled = numerator * (self.unit // denominator)
+        self.count += 1
+        self.total += scaled
+        self.total_sq += scaled * scaled
+
+    def stats(self) -> DemandStats:
+        """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
+
+        The mean is the exact rational mean rounded once to a float; the
+        standard deviation is the correctly rounded square root of the exact
+        n-1 variance. Both match `statistics.mean`/`stdev` on Python 3.11+.
+        """
+        n = self.count
+        if n < 2:
+            raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
+        mean = self.total / (n * self.unit)
+        # sum((a - total/n)**2) / (n - 1), over the grid's unit squared
+        stddev = _sqrt_of_ratio(n * self.total_sq - self.total * self.total,
+                                n * (n - 1) * self.unit * self.unit)
+        return DemandStats(mean, stddev, min(mean + 2.0 * stddev, 100.0), n)
+
+
+_FLOAT_DIGITS = 53          # significand bits of a double
+_SUBNORMAL_EXPONENT = 1074  # 2**-1074 is the spacing of subnormal doubles
+
+
+def _sqrt_of_ratio(p: int, q: int) -> float:
+    """sqrt(p/q) for p >= 0 and q > 0, correctly rounded (ties to even)."""
+    if p == 0:
+        return 0.0
+
+    def floor_root(e: int) -> tuple[int, int, int]:
+        # floor(sqrt(p/q * 4**e)), with that scaled radicand as num/den
+        num, den = (p << 2 * e, q) if e >= 0 else (p, q << -2 * e)
+        return math.isqrt(num // den), num, den
+
+    # Pick e so the root has exactly 53 bits; below 2**-1022 the float grid
+    # stops at 2**-1074, so e never exceeds 1074. Scaling by 4**d moves the
+    # floor root's bit length by exactly d, so one correction lands on it.
+    e = min((2 * _FLOAT_DIGITS - p.bit_length() + q.bit_length()) // 2, _SUBNORMAL_EXPONENT)
+    root, num, den = floor_root(e)
+    corrected = min(e + _FLOAT_DIGITS - root.bit_length(), _SUBNORMAL_EXPONENT)
+    if corrected != e:
+        e = corrected
+        root, num, den = floor_root(e)
+    # round to nearest: compare num/den with (root + 1/2)**2
+    odd = 2 * root + 1
+    excess = 4 * num - den * odd * odd
+    if excess > 0 or (excess == 0 and root & 1):
+        root += 1
+    return math.ldexp(root, -e)  # exact: root <= 2**53 on a grid no finer than 2**-1074
+
+
+IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
+
+_METRIC_BY_NAME = {m.value: m for m in Metric}
 
 
 def ingest_metrics(source) -> IngestedMetrics:
-    """Parse metrics CSV (``workload_id,timestamp,metric,value``).
+    """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
 
-    Samples are grouped by (workload, metric) and sorted by timestamp.
-    Workloads keep their order of first appearance. Values outside [0, 100]
-    and duplicate (workload, metric, timestamp) rows are rejected with the
-    offending line number.
+    Each row feeds the exact accumulator of its (workload, metric) series;
+    no per-row objects are kept. Workloads keep their order of first
+    appearance. Values outside [0, 100] and duplicate (workload, metric,
+    timestamp) rows are rejected with the offending line number.
     """
     grouped: IngestedMetrics = {}
-    seen: set[tuple[str, Metric, int]] = set()
-    for line_no, row in iter_rows(source, METRICS_HEADER):
-        workload_id, ts_text, metric_text, value_text = row
+    reader = data_reader(source, METRICS_HEADER)
+    for row in reader:
+        try:
+            workload_id, ts_text, metric_text, value_text = row
+        except ValueError:
+            raise column_count_error(reader.line_num, METRICS_HEADER, row) from None
         if not workload_id:
-            raise MalformedRowError(line_no, "empty workload_id")
+            raise MalformedRowError(reader.line_num, "empty workload_id")
         try:
             timestamp = int(ts_text)
         except ValueError:
-            raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
-        try:
-            metric = Metric(metric_text)
-        except ValueError:
-            raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'") from None
+            raise MalformedRowError(
+                reader.line_num, f"timestamp {ts_text!r} is not an integer") from None
+        metric = _METRIC_BY_NAME.get(metric_text)
+        if metric is None:
+            raise MalformedRowError(
+                reader.line_num, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
         try:
             value = float(value_text)
         except ValueError:
-            raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
+            raise MalformedRowError(reader.line_num, f"value {value_text!r} is not a number") from None
         if not 0.0 <= value <= 100.0:
-            raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
-        dedup = (workload_id, metric, timestamp)
-        if dedup in seen:
+            raise ValueOutOfRangeError(reader.line_num, f"value {value_text} outside [0, 100]")
+        by_metric = grouped.get(workload_id)
+        if by_metric is None:
+            by_metric = grouped[workload_id] = {}
+        series = by_metric.get(metric)
+        if series is None:
+            series = by_metric[metric] = SeriesAccumulator()
+        if timestamp in series.timestamps:
             raise DuplicateSampleError(
-                line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-        seen.add(dedup)
-        grouped.setdefault(workload_id, {}).setdefault(metric, []).append(
-            MetricSample(workload_id, timestamp, metric, value))
+                reader.line_num,
+                f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
+        series.timestamps.add(timestamp)
+        series.add(value)
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
-    for by_metric in grouped.values():
-        for samples in by_metric.values():
-            samples.sort(key=lambda s: s.timestamp)
     return grouped
 
 
@@ -138,16 +220,16 @@ def load_bindings(source) -> dict[str, str]:
     return bindings
 
 
-def compute_demand_stats(values: Sequence[float]) -> DemandStats:
+def compute_demand_stats(values: Iterable[float]) -> DemandStats:
     """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
 
-    Requires at least two samples (the n-1 estimator is undefined below that).
+    Requires at least two finite samples (the n-1 estimator is undefined
+    below that). See `SeriesAccumulator.stats` for the rounding.
     """
-    if len(values) < 2:
-        raise InsufficientSamplesError(f"need at least 2 samples, got {len(values)}")
-    mean = float(statistics.mean(values))
-    stddev = float(statistics.stdev(values))
-    return DemandStats(mean, stddev, min(mean + 2.0 * stddev, 100.0), len(values))
+    series = SeriesAccumulator()
+    for value in values:
+        series.add(value)
+    return series.stats()
 
 
 def build_fleet(metrics: IngestedMetrics, catalog: Catalog, bindings: Mapping[str, str]) -> Fleet:
@@ -167,11 +249,12 @@ def build_fleet(metrics: IngestedMetrics, catalog: Catalog, bindings: Mapping[st
         current = catalog.lookup(type_key)
         stats: dict[Metric, DemandStats] = {}
         for metric in (Metric.CPU, Metric.MEM):
-            samples = by_metric.get(metric, [])
-            if len(samples) < 2:
+            series = by_metric.get(metric)
+            count = series.count if series is not None else 0
+            if count < 2:
                 raise InsufficientSamplesError(
-                    f"workload {workload_id!r} needs >= 2 {metric.value} samples, got {len(samples)}")
-            stats[metric] = compute_demand_stats([s.value for s in samples])
+                    f"workload {workload_id!r} needs >= 2 {metric.value} samples, got {count}")
+            stats[metric] = series.stats()
         workloads.append(WorkloadProfile(
             id=workload_id,
             current_type=type_key,

@@ -31,18 +31,21 @@ class UtilizationPolicy:
     """Per-workload headroom multipliers applied to observed demand.
 
     A factor of 1 means future load is expected to match the observed load;
-    larger values reserve growth headroom. Factors below 1 are invalid.
+    larger values reserve growth headroom. Factors below 1 or not finite are
+    invalid.
     """
 
     default: float
     factors: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.default >= 1.0:
-            raise InvalidPolicyError(f"default utilization factor {self.default} is < 1")
+        if not (math.isfinite(self.default) and self.default >= 1.0):
+            raise InvalidPolicyError(
+                f"default utilization factor {self.default} is not a finite number >= 1")
         for workload_id, factor in self.factors.items():
-            if not factor >= 1.0:
-                raise InvalidPolicyError(f"utilization factor {factor} for {workload_id!r} is < 1")
+            if not (math.isfinite(factor) and factor >= 1.0):
+                raise InvalidPolicyError(
+                    f"utilization factor {factor} for {workload_id!r} is not a finite number >= 1")
 
     @classmethod
     def uniform(cls, delta: float) -> "UtilizationPolicy":
@@ -177,7 +180,8 @@ subject to Total{i in SERV}:
 
 
 def _quoted(name: str) -> str:
-    return "'" + name + "'"
+    # AMPL string literal: an embedded quote is written twice
+    return "'" + name.replace("'", "''") + "'"
 
 
 def _num(value: float) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -131,6 +132,12 @@ def test_sweep_rejects_unordered_deltas():
 def test_sweep_rejects_factor_below_one():
     with pytest.raises(InvalidDeltasError):
         run_sweep(sweep_fleet(), sweep_catalog(), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("deltas", [[1.0, math.inf], [1.0, 2.0, math.nan], [math.inf]])
+def test_sweep_rejects_non_finite_factor_anywhere(deltas):
+    with pytest.raises(InvalidDeltasError, match="finite"):
+        run_sweep(sweep_fleet(), sweep_catalog(), deltas)
 
 
 def test_default_deltas_are_31_cases():

@@ -74,6 +74,14 @@ def test_optimize_rejects_delta_below_one(inputs, tmp_path, capsys):
     assert ">= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_optimize_rejects_non_finite_delta(inputs, tmp_path, capsys, delta):
+    code = run(inputs, "optimize", "--delta", delta, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "--delta must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_infeasible_writes_diagnostics(inputs, tmp_path):
     out = tmp_path / "out"
     # 1.5 ECU demand at factor 6 needs 9.0 ECU, above every column
@@ -153,6 +161,20 @@ def test_sweep_case_files_carry_assignments(inputs, tmp_path):
     assert case1["assignment"] == {"w1": "lin.a.small.r1"}
     case2 = json.loads((out / "case-2.json").read_text())
     assert case2["assignment"] == {"w1": "lin.b.medium.r1"}
+
+
+def test_shorter_sweep_removes_stale_case_files(inputs, tmp_path):
+    out = tmp_path / "out"
+    (out / "keep").mkdir(parents=True)
+    (out / "case-notes.json").write_text("{}")
+    assert run(inputs, "sweep", "--out", str(out)) == 0
+    assert len(list(out.glob("case-*.json"))) == 31 + 1
+    assert run(inputs, "sweep", "--sweep", "1.0:1.4:0.1", "--out", str(out)) == 0
+    cases = sorted(p.name for p in out.glob("case-[0-9]*.json"))
+    assert cases == [f"case-{k}.json" for k in range(1, 6)]
+    assert (out / "case-notes.json").exists() and (out / "keep").is_dir()
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert len(report["cases"]) == 5
 
 
 def test_parse_sweep_spec_matches_default():

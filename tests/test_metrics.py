@@ -1,8 +1,14 @@
+import ast
 import math
 import random
+import statistics
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rightsizer import metrics as metrics_module
 from rightsizer import (
     Metric,
     build_fleet,
@@ -39,11 +45,15 @@ def reference_stats(values):
 
 def test_ingest_groups_by_workload_and_metric():
     data = metrics_bytes(
-        "w1,100,cpu,10", "w1,200,mem,20", "w2,100,cpu,30", "w2,200,mem,40")
+        "w1,100,cpu,10", "w1,200,mem,20", "w2,100,cpu,30", "w2,200,mem,40",
+        "w1,300,cpu,20", "w2,300,mem,50", "w2,400,mem,60")
     grouped = ingest_metrics(data)
     assert list(grouped) == ["w1", "w2"]
-    assert [s.value for s in grouped["w1"][Metric.CPU]] == [10.0]
-    assert [s.value for s in grouped["w2"][Metric.MEM]] == [40.0]
+    assert grouped["w1"][Metric.CPU].stats() == compute_demand_stats([10.0, 20.0])
+    assert grouped["w1"][Metric.MEM].count == 1
+    assert grouped["w2"][Metric.CPU].count == 1
+    assert grouped["w2"][Metric.MEM].stats() == compute_demand_stats([40.0, 50.0, 60.0])
+    assert grouped["w2"][Metric.MEM].stats().sample_count == 3
 
 
 def test_value_out_of_range():
@@ -57,10 +67,18 @@ def test_negative_value_rejected():
         ingest_metrics(metrics_bytes("w1,100,cpu,-0.5"))
 
 
-def test_unsorted_timestamps_come_out_sorted():
-    grouped = ingest_metrics(metrics_bytes(
-        "w1,300,cpu,30", "w1,100,cpu,10", "w1,200,cpu,20"))
-    assert [s.timestamp for s in grouped["w1"][Metric.CPU]] == [100, 200, 300]
+def test_shuffled_rows_give_the_stats_of_sorted_rows():
+    rng = random.Random(14)
+    rows = [f"w{k % 3},{100 + k},{'cpu' if k % 2 else 'mem'},{rng.uniform(0, 100)!r}"
+            for k in range(60)]
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    by_sorted = ingest_metrics(metrics_bytes(*rows))
+    by_shuffled = ingest_metrics(metrics_bytes(*shuffled))
+    assert set(by_sorted) == set(by_shuffled) == {"w0", "w1", "w2"}
+    for workload_id, by_metric in by_sorted.items():
+        for metric in (Metric.CPU, Metric.MEM):
+            assert by_shuffled[workload_id][metric].stats() == by_metric[metric].stats()
 
 
 def test_duplicate_sample_rejected():
@@ -70,14 +88,17 @@ def test_duplicate_sample_rejected():
 
 
 def test_same_timestamp_different_metric_allowed():
-    grouped = ingest_metrics(metrics_bytes("w1,100,cpu,10", "w1,100,mem,10"))
-    assert set(grouped["w1"]) == {Metric.CPU, Metric.MEM}
+    grouped = ingest_metrics(metrics_bytes(
+        "w1,100,cpu,10", "w1,100,mem,10", "w1,200,cpu,30", "w1,200,mem,20"))
+    assert grouped["w1"][Metric.CPU].stats() == compute_demand_stats([10.0, 30.0])
+    assert grouped["w1"][Metric.MEM].stats() == compute_demand_stats([10.0, 20.0])
 
 
 @pytest.mark.parametrize("row", ["w1,x,cpu,10", "w1,100,disk,10", "w1,100,cpu,ten", "w1,100,cpu"])
 def test_malformed_rows(row):
-    with pytest.raises(MalformedRowError):
-        ingest_metrics(metrics_bytes(row))
+    with pytest.raises(MalformedRowError) as exc:
+        ingest_metrics(metrics_bytes("w0,100,cpu,10", row))
+    assert str(exc.value).startswith("line 3: ")
 
 
 def test_empty_metrics_rejected():
@@ -138,6 +159,100 @@ def test_demand_permutation_invariant():
         shuffled = values[:]
         rng.shuffle(shuffled)
         assert compute_demand_stats(shuffled) == compute_demand_stats(values)
+
+
+# Values with very different binary exponents, down to the smallest subnormal,
+# force the accumulator onto finer grids mid-series.
+_MIXED_VALUES = (0.0, 5e-324, 1e-310, 1e-5, 0.1, 0.3, 1.0, 33.3, 50.0, 99.99, 100.0)
+
+
+def _random_series(rng):
+    n = rng.choice((2, 2, 3, 7, 24, 288))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return [rng.choice(_MIXED_VALUES) for _ in range(n)]
+    if kind == 1:
+        return [rng.uniform(0, 100)] * n  # zero variance
+    if kind == 2:
+        return [round(rng.uniform(0, 100), 2) for _ in range(n)]
+    return [rng.uniform(0, 100) * rng.choice((1.0, 1e-3, 1e-300)) for _ in range(n)]
+
+
+def _series_csv(series):
+    rows = []
+    for k, values in enumerate(series):
+        metric = "cpu" if k % 2 == 0 else "mem"
+        rows.extend(f"w{k // 2},{t},{metric},{v!r}" for t, v in enumerate(values))
+    return metrics_bytes(*rows)
+
+
+def _ingested_stats(series):
+    grouped = ingest_metrics(_series_csv(series))
+    return [grouped[f"w{k // 2}"][Metric.CPU if k % 2 == 0 else Metric.MEM].stats()
+            for k in range(len(series))]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev is correctly rounded from 3.11 on")
+def test_stats_match_statistics_module_bit_for_bit():
+    rng = random.Random(15)
+    series = [_random_series(rng) for _ in range(2000)]
+    series += [[5e-324, 100.0], [0.1, 50.0], [42.0, 42.0]]
+    for values, stats in zip(series, _ingested_stats(series)):
+        assert stats.mean_pct == statistics.mean(values), values
+        assert stats.stddev_pct == statistics.stdev(values), values
+        assert stats.sample_count == len(values)
+        assert compute_demand_stats(values) == stats
+
+
+def _assert_correctly_rounded_sqrt(root, exact):
+    """`root` is sqrt(exact) rounded to the nearest float, ties to even."""
+    if root == 0.0:
+        assert exact <= (Fraction(math.nextafter(0.0, 1.0)) / 2) ** 2
+        return
+    below = (Fraction(math.nextafter(root, 0.0)) + Fraction(root)) / 2
+    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    assert below * below <= exact <= above * above
+    if exact in (below * below, above * above):
+        assert int(root / math.ulp(root)) % 2 == 0
+
+
+def test_stats_are_correctly_rounded_on_every_interpreter():
+    rng = random.Random(16)
+    series = [_random_series(rng) for _ in range(500)]
+    series += [[5e-324, 0.0], [0.1, 50.0], [42.0, 42.0], [10.0, 20.0, 30.0]]
+    for values, stats in zip(series, _ingested_stats(series)):
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        variance = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+        assert stats.mean_pct == float(mean)
+        _assert_correctly_rounded_sqrt(stats.stddev_pct, variance)
+
+
+def test_square_root_rounds_halfway_cases_to_even():
+    # (2m + 1)**2 / 4**(e + 1) has the root (m + 1/2) / 2**e, exactly halfway
+    # between two floats: normal ones when m has 53 bits, subnormal ones
+    # (spacing 2**-1074) when m is shorter and e is 1074. Radicands a hair
+    # above or below halfway must round away from it, even on the subnormal
+    # grid, where a 53-bit intermediate root would round twice.
+    rng = random.Random(17)
+    for _ in range(300):
+        bits = rng.choice((53, 53, rng.randint(1, 52)))
+        m = rng.getrandbits(bits) | (1 << (bits - 1))
+        e = rng.randint(-200, 1000) if bits == 53 else 1074
+        p, q = (2 * m + 1) ** 2 << 64, 4 << 64
+        p, q = (p << -2 * e, q) if e < 0 else (p, q << 2 * e)
+        for nudge in (0, 1, -1):
+            exact = Fraction(p + nudge, q)
+            _assert_correctly_rounded_sqrt(metrics_module._sqrt_of_ratio(p + nudge, q), exact)
+
+
+def test_metrics_module_does_not_use_statistics():
+    tree = ast.parse(Path(metrics_module.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "statistics" not in imported
 
 
 # --- fleet construction -----------------------------------------------------

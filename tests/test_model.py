@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -36,6 +37,14 @@ def test_feasibility_shrinks_at_one_point_five():
 def test_factor_below_one_rejected():
     with pytest.raises(InvalidPolicyError):
         UtilizationPolicy.uniform(0.9)
+
+
+@pytest.mark.parametrize("factor", [math.inf, math.nan])
+def test_non_finite_factor_rejected(factor):
+    with pytest.raises(InvalidPolicyError, match="not a finite number"):
+        UtilizationPolicy.uniform(factor)
+    with pytest.raises(InvalidPolicyError, match="not a finite number"):
+        UtilizationPolicy(default=1.5, factors={"w1": factor})
 
 
 def test_unknown_current_type_rejected():
@@ -169,6 +178,16 @@ def test_export_data_carries_model_values():
     assert "'w1' 3.0" in data          # mem demand
     assert "param cost : 'lin.a.small.r1' 'lin.b.medium.r1' 'lin.c.large.r1' :=" in data
     assert "'w1' 0.1 0.2 0.4" in data
+
+
+def test_export_doubles_embedded_quotes():
+    catalog = Catalog((InstanceType("lin.o'neil.r1", 2.0, 4.0, 0.10),))
+    fleet = Fleet((WorkloadProfile("o'brien", "lin.o'neil.r1", 1.5, 3.0, 0.10),))
+    data = export_ampl(model_for(fleet, catalog, 1.0)).data_text
+    assert "set SERV :=\n    'o''brien'\n;" in data
+    assert "set INST :=\n    'lin.o''neil.r1'\n;" in data
+    assert "param cost : 'lin.o''neil.r1' :=\n    'o''brien' 0.1\n;" in data
+    assert "'o'brien'" not in data
 
 
 def test_export_is_deterministic():
