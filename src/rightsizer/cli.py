@@ -13,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import reports
 from .analysis import consolidation_report, project_costs, run_sweep, utilization_report
@@ -31,7 +32,10 @@ DEFAULT_DELTA = 1.5
 DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
 FORMATS = ("json", "text", "csv")
 _EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
-_CASE_FILE = re.compile(r"case-[0-9]+\.json")
+# every file each command can write into --out, in any --format
+_OPTIMIZE_OUTPUTS = re.compile(r"(assignment|(cost|utilization|consolidation)_report)\.(json|txt|csv)"
+                               r"|plot_(costs|utilization|flow)\.csv")
+_SWEEP_OUTPUTS = re.compile(r"sweep_report\.(json|txt|csv)|plot_annual_cost\.csv|case-[0-9]+\.json")
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,17 @@ def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode("utf-8"))
 
 
-def _emit(out_dir: Path, stem: str, fmt: str, json_payload, text: str, csv_body: str) -> None:
-    rendered = {"json": reports.to_json(json_payload), "text": text, "csv": csv_body}[fmt]
-    _write(out_dir / f"{stem}.{_EXTENSIONS[fmt]}", rendered)
+def _prepare_out(out_dir: Path, outputs: re.Pattern) -> None:
+    # no output of an earlier run (infeasible, other format, longer sweep) may outlive this one
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in out_dir.iterdir():
+        if outputs.fullmatch(path.name):
+            path.unlink()
+
+
+def _emit(out_dir: Path, stem: str, fmt: str, render: dict[str, Callable[[], str]]) -> None:
+    # only the requested format is rendered
+    _write(out_dir / f"{stem}.{_EXTENSIONS[fmt]}", render[fmt]())
 
 
 def cmd_optimize(args) -> int:
@@ -124,37 +136,35 @@ def cmd_optimize(args) -> int:
     catalog, fleet = _load_inputs(config)
     policy = _load_run_policy(config)
     model = build_model(fleet, catalog, policy)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    out, fmt = config.output_dir, config.format
+    _prepare_out(out, _OPTIMIZE_OUTPUTS)
 
     result = solve_exact(model)
     if isinstance(result, Infeasible):
-        _emit(config.output_dir, "assignment", config.format,
-              reports.infeasible_payload(result, config.delta),
-              reports.infeasible_text(result),
-              reports.infeasible_csv(result))
+        _emit(out, "assignment", fmt, {
+            "json": lambda: reports.to_json(reports.infeasible_payload(result, config.delta)),
+            "text": lambda: reports.infeasible_text(result),
+            "csv": lambda: reports.infeasible_csv(result)})
         ids = ", ".join(r.workload_id for r in result.rows)
         print(f"infeasible: no catalog type fits {ids} at the requested factor", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    costs = project_costs(fleet, catalog, result, config.hours_per_year)
-    utilization = utilization_report(fleet, catalog, result)
-    consolidation = consolidation_report(fleet, catalog, result)
-
-    _emit(config.output_dir, "assignment", config.format,
-          reports.assignment_payload(fleet, catalog, result, config.delta),
-          reports.assignment_text(fleet, catalog, result),
-          reports.assignment_csv(fleet, catalog, result))
-    _emit(config.output_dir, "cost_report", config.format,
-          costs, reports.cost_report_text(costs), reports.cost_plot_csv(costs))
-    _emit(config.output_dir, "utilization_report", config.format,
-          utilization, reports.utilization_report_text(utilization),
-          reports.utilization_plot_csv(utilization))
-    _emit(config.output_dir, "consolidation_report", config.format,
-          consolidation, reports.consolidation_report_text(consolidation),
-          reports.flow_plot_csv(consolidation))
-    _write(config.output_dir / "plot_costs.csv", reports.cost_plot_csv(costs))
-    _write(config.output_dir / "plot_utilization.csv", reports.utilization_plot_csv(utilization))
-    _write(config.output_dir / "plot_flow.csv", reports.flow_plot_csv(consolidation))
+    _emit(out, "assignment", fmt, {
+        "json": lambda: reports.to_json(reports.assignment_payload(fleet, catalog, result, config.delta)),
+        "text": lambda: reports.assignment_text(fleet, catalog, result),
+        "csv": lambda: reports.assignment_csv(fleet, catalog, result)})
+    for stem, report, render_text, plot_name, render_plot in (
+            ("cost_report", project_costs(fleet, catalog, result, config.hours_per_year),
+             reports.cost_report_text, "plot_costs.csv", reports.cost_plot_csv),
+            ("utilization_report", utilization_report(fleet, catalog, result),
+             reports.utilization_report_text, "plot_utilization.csv", reports.utilization_plot_csv),
+            ("consolidation_report", consolidation_report(fleet, catalog, result),
+             reports.consolidation_report_text, "plot_flow.csv", reports.flow_plot_csv)):
+        # the report's CSV form is its plot CSV: one render serves both files
+        plot = render_plot(report)
+        _emit(out, stem, fmt, {"json": lambda: reports.to_json(report),
+                               "text": lambda: render_text(report), "csv": lambda: plot})
+        _write(out / plot_name, plot)
     return EXIT_OK
 
 
@@ -162,20 +172,17 @@ def cmd_sweep(args) -> int:
     config = _build_config(args, sweep=True)
     catalog, fleet = _load_inputs(config)
     result = run_sweep(fleet, catalog, config.sweep_deltas, config.hours_per_year)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    # case files of an earlier, longer sweep would outlive this one's
-    for stale in config.output_dir.glob("case-*.json"):
-        if _CASE_FILE.fullmatch(stale.name):
-            stale.unlink()
+    out = config.output_dir
+    _prepare_out(out, _SWEEP_OUTPUTS)
 
-    _emit(config.output_dir, "sweep_report", config.format,
-          reports.sweep_report_payload(result),
-          reports.sweep_report_text(result),
-          reports.sweep_plot_csv(result))
+    plot = reports.sweep_plot_csv(result)
+    _emit(out, "sweep_report", config.format, {
+        "json": lambda: reports.to_json(reports.sweep_report_payload(result)),
+        "text": lambda: reports.sweep_report_text(result),
+        "csv": lambda: plot})
     for k, case in enumerate(result.cases, start=1):
-        _write(config.output_dir / f"case-{k}.json",
-               reports.to_json(reports.sweep_case_payload(k, case)))
-    _write(config.output_dir / "plot_annual_cost.csv", reports.sweep_plot_csv(result))
+        _write(out / f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
+    _write(out / "plot_annual_cost.csv", plot)
     return EXIT_OK
 
 

@@ -56,7 +56,7 @@ class InsufficientSamplesError(RightsizerError):
 
 
 class InvalidPolicyError(RightsizerError):
-    """A utilization factor below 1."""
+    """A utilization factor below 1 or not finite."""
 
 
 class IndexOutOfRangeError(RightsizerError):
@@ -72,7 +72,7 @@ class RowMismatchError(RightsizerError):
 
 
 class InvalidDeltasError(RightsizerError):
-    """Sweep factors not strictly increasing or below 1."""
+    """Sweep factors not strictly increasing, or below 1 or not finite."""
 
 
 class DegenerateVarianceError(RightsizerError):

@@ -1,15 +1,16 @@
-"""Assignment model assembly: cost matrix, feasibility mask, AMPL export.
+"""Assignment model assembly: cost vector, scaled demands, feasibility rule, AMPL export.
 
 Rows are fleet workloads, columns are catalog entries. A column j is feasible
 for row i when the workload's demand, multiplied by its utilization factor,
-fits the column's published capacities on both resources. All row and column
-numbers in the public surface are 1-based, matching the exported formulation.
+fits the column's published capacities on both resources. Public functions
+number rows and columns from 1, matching the exported formulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from ._csvio import iter_rows
@@ -39,6 +40,8 @@ class UtilizationPolicy:
     factors: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a snapshot, so that later edits to the caller's dict cannot bypass the checks below
+        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
         if not (math.isfinite(self.default) and self.default >= 1.0):
             raise InvalidPolicyError(
                 f"default utilization factor {self.default} is not a finite number >= 1")
@@ -76,18 +79,17 @@ def load_policy(source, default: float) -> UtilizationPolicy:
 
 @dataclass(frozen=True)
 class AssignmentModel:
-    """Immutable matrices for one fleet-to-catalog assignment problem.
+    """One fleet-to-catalog assignment problem, with no M x N structure.
 
-    `cost` is column-constant by construction: entry (i, j) is the hourly
-    cost of catalog column j regardless of the row. `scaled_cpu`/`scaled_mem`
-    cache each row's demand times its utilization factor.
+    `cost[j]` is the hourly cost of catalog column j for every row;
+    `scaled_cpu`/`scaled_mem` hold each row's demand times its factor.
+    Indices into these tuples, and into `fits`, are 0-based.
     """
 
     fleet: Fleet
     catalog: Catalog
     policy: UtilizationPolicy
-    cost: tuple[tuple[float, ...], ...]
-    feasible: tuple[tuple[bool, ...], ...]
+    cost: tuple[float, ...]
     scaled_cpu: tuple[float, ...]
     scaled_mem: tuple[float, ...]
 
@@ -99,41 +101,34 @@ class AssignmentModel:
     def column_count(self) -> int:
         return len(self.catalog.entries)
 
+    def fits(self, i: int, j: int) -> bool:
+        """The feasibility rule: exact <=, so a demand at capacity fits."""
+        e = self.catalog.entries[j]
+        return self.scaled_cpu[i] <= e.cpu_capacity and self.scaled_mem[i] <= e.mem_capacity
+
+    @property
+    def feasible(self) -> tuple[tuple[bool, ...], ...]:
+        """M x N mask derived from `fits` on every access; for tests and tracing."""
+        return tuple(tuple(self.fits(i, j) for j in range(self.column_count))
+                     for i in range(self.row_count))
+
 
 def build_model(fleet: Fleet, catalog: Catalog, policy: UtilizationPolicy) -> AssignmentModel:
-    """Size the M x N cost and feasibility matrices for this fleet and catalog.
+    """Scale each row's demand by its factor (UtilizationPolicy validated it).
 
-    Feasibility uses exact <= comparisons on the scaled demands; ties at
-    exact capacity are legitimate assignments. Every workload's current type
-    must resolve in the catalog and every factor must be >= 1.
+    Every workload's current type must resolve in the catalog.
     """
-    cost_row = tuple(e.hourly_cost for e in catalog.entries)
-    cost = []
-    feasible = []
-    scaled_cpu = []
-    scaled_mem = []
     for w in fleet.workloads:
         if w.current_type not in catalog:
             raise UnknownTypeError(f"workload {w.id!r} has current type {w.current_type!r} not in catalog")
-        factor = policy.delta_for(w.id)
-        if not factor >= 1.0:
-            raise InvalidPolicyError(f"utilization factor {factor} for {w.id!r} is < 1")
-        cpu_needed = w.cpu_demand * factor
-        mem_needed = w.mem_demand * factor
-        scaled_cpu.append(cpu_needed)
-        scaled_mem.append(mem_needed)
-        feasible.append(tuple(
-            cpu_needed <= e.cpu_capacity and mem_needed <= e.mem_capacity
-            for e in catalog.entries))
-        cost.append(cost_row)
+    factors = [policy.delta_for(w.id) for w in fleet.workloads]
     return AssignmentModel(
         fleet=fleet,
         catalog=catalog,
         policy=policy,
-        cost=tuple(cost),
-        feasible=tuple(feasible),
-        scaled_cpu=tuple(scaled_cpu),
-        scaled_mem=tuple(scaled_mem),
+        cost=tuple(e.hourly_cost for e in catalog.entries),
+        scaled_cpu=tuple(w.cpu_demand * f for w, f in zip(fleet.workloads, factors)),
+        scaled_mem=tuple(w.mem_demand * f for w, f in zip(fleet.workloads, factors)),
     )
 
 
@@ -141,7 +136,7 @@ def feasible_set(model: AssignmentModel, row: int) -> list[int]:
     """Columns (1-based, catalog order) able to host the given row (1-based)."""
     if not 1 <= row <= model.row_count:
         raise IndexOutOfRangeError(f"row {row} outside 1..{model.row_count}")
-    return [j + 1 for j, ok in enumerate(model.feasible[row - 1]) if ok]
+    return [j + 1 for j in range(model.column_count) if model.fits(row - 1, j)]
 
 
 @dataclass(frozen=True)
@@ -215,9 +210,10 @@ def export_ampl(model: AssignmentModel) -> AmplExport:
     insts = [_quoted(e.key) for e in model.catalog.entries]
     workloads = model.fleet.workloads
 
+    # every row has the same costs, so the row is formatted once
+    cost_row = " ".join(_num(c) for c in model.cost)
     cost_lines = [f"param cost : {' '.join(insts)} :="]
-    for name, row in zip(servers, model.cost):
-        cost_lines.append("    " + name + " " + " ".join(_num(c) for c in row))
+    cost_lines += [f"    {name} {cost_row}" for name in servers]
     cost_lines.append(";")
 
     parts = [

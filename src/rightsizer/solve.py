@@ -59,8 +59,8 @@ def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ..
 
 def _infeasible_rows(model: AssignmentModel) -> list[InfeasibleRow]:
     rows = []
-    for i, (w, feas_row) in enumerate(zip(model.fleet.workloads, model.feasible)):
-        if not any(feas_row):
+    for i, w in enumerate(model.fleet.workloads):
+        if not any(model.fits(i, j) for j in range(model.column_count)):
             rows.append(InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i]))
     return rows
 
@@ -68,28 +68,24 @@ def _infeasible_rows(model: AssignmentModel) -> list[InfeasibleRow]:
 def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
     """Pick the cheapest feasible column for every row independently.
 
-    Row-separability makes the per-row argmin the global optimum. Ties are
-    broken deterministically by the shared column order. When any row has no
+    Row-separability makes the per-row argmin the global optimum. Each row
+    takes the first column that fits in the shared tie-break order, which
+    is a strict order because catalog keys are unique. When any row has no
     feasible column the result is Infeasible, listing every such row.
     """
-    order = _column_order(model.catalog)
+    by_preference = sorted(range(model.column_count), key=_column_order(model.catalog).__getitem__)
     assignment: dict[int, int] = {}
     missing: list[InfeasibleRow] = []
-    for i, feas_row in enumerate(model.feasible):
-        best = -1
-        for j, ok in enumerate(feas_row):
-            if ok and (best < 0 or order[j] < order[best]):
-                best = j
-        if best < 0:
-            w = model.fleet.workloads[i]
+    total = 0.0  # summed in row order, as solve_bruteforce does
+    for i, w in enumerate(model.fleet.workloads):
+        best = next((j for j in by_preference if model.fits(i, j)), None)
+        if best is None:
             missing.append(InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i]))
         else:
             assignment[i + 1] = best + 1
+            total += model.cost[best]
     if missing:
         return Infeasible(tuple(missing))
-    total = 0.0
-    for i in range(model.row_count):
-        total += model.cost[i][assignment[i + 1] - 1]
     return AssignmentSolution(assignment, total)
 
 
@@ -118,7 +114,7 @@ def solve_bruteforce(model: AssignmentModel,
             j = combo[i]
             if not feasible[i][j]:
                 break
-            total += cost[i][j]
+            total += cost[j]
         else:
             if best_total is None or total < best_total:
                 best_total, best_combo, best_order = total, combo, None
@@ -154,14 +150,14 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
                 "CoverageViolation", i, f"assignment ({i}, {j}) outside the {m}x{n} matrix"))
             coverage_ok = False
             continue
-        if not model.feasible[i - 1][j - 1]:
+        if not model.fits(i - 1, j - 1):
             w = model.fleet.workloads[i - 1]
             e = model.catalog.entries[j - 1]
             violations.append(Violation(
                 "CapacityViolation", i,
                 f"{w.id!r} needs {model.scaled_cpu[i - 1]:.6g} ECU / {model.scaled_mem[i - 1]:.6g} GiB "
                 f"but {e.key!r} supplies {e.cpu_capacity:.6g} / {e.mem_capacity:.6g}"))
-        recomputed += model.cost[i - 1][j - 1]
+        recomputed += model.cost[j - 1]
     if coverage_ok and abs(recomputed - solution.total_hourly_cost) > COST_ABS_TOLERANCE:
         violations.append(Violation(
             "CostMismatch", None,

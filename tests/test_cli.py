@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rightsizer import reports
 from rightsizer.cli import main, parse_sweep_spec
 from rightsizer.analysis import default_sweep_deltas
 from rightsizer.errors import ConfigError
@@ -129,6 +130,38 @@ def test_optimize_is_deterministic(inputs, tmp_path):
     assert tree_bytes(out1) == tree_bytes(out2)
 
 
+def test_optimize_reruns_leave_only_their_own_outputs(inputs, tmp_path):
+    out = tmp_path / "out"
+    (out / "keep").mkdir(parents=True)
+    (out / "notes.txt").write_text("not an output")
+    assert run(inputs, "optimize", "--delta", "1.5", "--out", str(out)) == 0
+    assert run(inputs, "optimize", "--delta", "50", "--out", str(out)) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["assignment.json", "keep", "notes.txt"]
+
+    assert run(inputs, "optimize", "--delta", "1.5", "--out", str(out)) == 0
+    assert run(inputs, "optimize", "--delta", "1.5", "--format", "text", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "assignment.txt", "consolidation_report.txt", "cost_report.txt", "keep", "notes.txt",
+        "plot_costs.csv", "plot_flow.csv", "plot_utilization.csv", "utilization_report.txt"]
+
+
+def test_optimize_renders_only_the_requested_format(inputs, tmp_path, monkeypatch):
+    calls = []
+    for name in ("to_json", "assignment_text", "assignment_csv",
+                 "cost_report_text", "utilization_report_text", "consolidation_report_text",
+                 "cost_plot_csv", "utilization_plot_csv", "flow_plot_csv"):
+        def counted(*args, _name=name, _render=getattr(reports, name)):
+            calls.append(_name)
+            return _render(*args)
+        monkeypatch.setattr(reports, name, counted)
+    out = tmp_path / "out"
+    assert run(inputs, "optimize", "--delta", "1.5", "--format", "csv", "--out", str(out)) == 0
+    assert sorted(calls) == ["assignment_csv", "cost_plot_csv", "flow_plot_csv", "utilization_plot_csv"]
+    for report, plot in (("cost_report", "plot_costs"), ("utilization_report", "plot_utilization"),
+                         ("consolidation_report", "plot_flow")):
+        assert (out / f"{report}.csv").read_bytes() == (out / f"{plot}.csv").read_bytes()
+
+
 # --- sweep ---------------------------------------------------------------------
 
 def test_sweep_default_has_31_cases(inputs, tmp_path):
@@ -175,6 +208,15 @@ def test_shorter_sweep_removes_stale_case_files(inputs, tmp_path):
     assert (out / "case-notes.json").exists() and (out / "keep").is_dir()
     report = json.loads((out / "sweep_report.json").read_text())
     assert len(report["cases"]) == 5
+
+
+def test_sweep_rerun_in_another_format_replaces_its_report(inputs, tmp_path):
+    out = tmp_path / "out"
+    assert run(inputs, "sweep", "--sweep", "1.0:1.2:0.1", "--out", str(out)) == 0
+    assert run(inputs, "sweep", "--sweep", "1.0:1.1:0.1", "--format", "csv", "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "case-1.json", "case-2.json", "plot_annual_cost.csv", "sweep_report.csv"]
+    assert (out / "sweep_report.csv").read_bytes() == (out / "plot_annual_cost.csv").read_bytes()
 
 
 def test_parse_sweep_spec_matches_default():

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import abc_catalog, model_for, one_workload_fleet, random_trial_model
 from rightsizer import (
+    AssignmentSolution,
     Catalog,
     Fleet,
     InstanceType,
@@ -14,6 +15,7 @@ from rightsizer import (
     export_ampl,
     feasible_set,
     load_policy,
+    validate_solution,
 )
 from rightsizer.errors import (
     IndexOutOfRangeError,
@@ -47,6 +49,17 @@ def test_non_finite_factor_rejected(factor):
         UtilizationPolicy(default=1.5, factors={"w1": factor})
 
 
+def test_policy_snapshots_its_factors():
+    factors = {"w1": 2.0}
+    policy = UtilizationPolicy(1.5, factors)
+    factors["w1"] = 0.5
+    factors["w2"] = 3.0
+    assert policy.delta_for("w1") == 2.0
+    assert policy.delta_for("w2") == 1.5
+    with pytest.raises(TypeError):
+        policy.factors["w1"] = 0.5
+
+
 def test_unknown_current_type_rejected():
     fleet = one_workload_fleet(current_type="lin.z.huge.r9")
     with pytest.raises(UnknownTypeError):
@@ -60,13 +73,30 @@ def test_exact_boundary_is_feasible():
     assert model.feasible[0][0] is True
 
 
+def test_feasibility_readers_agree_at_exact_capacity():
+    # column 1 is 2 ECU / 4 GiB; rows sit exactly on it or one ulp above it
+    fleet = Fleet((
+        WorkloadProfile("exact", "lin.a.small.r1", 2.0, 4.0, 0.10),
+        WorkloadProfile("cpu_ulp", "lin.a.small.r1", math.nextafter(2.0, 3.0), 4.0, 0.10),
+        WorkloadProfile("mem_ulp", "lin.a.small.r1", 2.0, math.nextafter(4.0, 5.0), 0.10),
+        WorkloadProfile("scaled", "lin.a.small.r1", 1.0, 2.0, 0.10),  # x2 lands on 2 / 4
+    ))
+    model = build_model(fleet, abc_catalog(), UtilizationPolicy(1.0, {"scaled": 2.0}))
+    assert model.feasible == (
+        (True, True, True), (False, True, True), (False, True, True), (True, True, True))
+    for j in range(model.column_count):
+        refused = {v.row for v in validate_solution(
+            model, AssignmentSolution({i: j + 1 for i in range(1, 5)}, 4 * model.cost[j]))}
+        for i in range(model.row_count):
+            in_set = j + 1 in feasible_set(model, i + 1)
+            assert in_set == model.feasible[i][j] == (i + 1 not in refused)
+
+
 def test_cost_matrix_is_column_constant():
     fleet = Fleet(tuple(
         WorkloadProfile(f"w{i}", "lin.a.small.r1", 0.5, 1.0, 0.10) for i in range(4)))
     model = model_for(fleet, abc_catalog(), 1.2)
-    expected = tuple(e.hourly_cost for e in abc_catalog().entries)
-    for row in model.cost:
-        assert row == expected
+    assert model.cost == tuple(e.hourly_cost for e in abc_catalog().entries)
 
 
 def test_per_workload_factor_overrides_default():
@@ -178,6 +208,20 @@ def test_export_data_carries_model_values():
     assert "'w1' 3.0" in data          # mem demand
     assert "param cost : 'lin.a.small.r1' 'lin.b.medium.r1' 'lin.c.large.r1' :=" in data
     assert "'w1' 0.1 0.2 0.4" in data
+
+
+def test_export_cost_block_golden():
+    fleet = Fleet((
+        WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0, 0.10),
+        WorkloadProfile("w2", "lin.b.medium.r1", 3.0, 6.0, 0.20),
+    ))
+    data = export_ampl(model_for(fleet, abc_catalog(), 1.5)).data_text
+    assert data.endswith(
+        ";\n\n"
+        "param cost : 'lin.a.small.r1' 'lin.b.medium.r1' 'lin.c.large.r1' :=\n"
+        "    'w1' 0.1 0.2 0.4\n"
+        "    'w2' 0.1 0.2 0.4\n"
+        ";\n")
 
 
 def test_export_doubles_embedded_quotes():

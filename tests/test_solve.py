@@ -26,7 +26,7 @@ def enumerate_best_total(model):
     n = model.column_count
     for combo in itertools.product(range(n), repeat=model.row_count):
         if all(model.feasible[i][j] for i, j in enumerate(combo)):
-            total = sum(model.cost[i][j] for i, j in enumerate(combo))
+            total = sum(model.cost[j] for j in combo)
             if best is None or total < best:
                 best = total
     return best
