@@ -1,9 +1,11 @@
 """Post-solve analyses: cost projection, headroom sweep, utilization, consolidation.
 
 Annual figures are hourly figures times a configurable hours-per-year
-(8760 by default). The sweep solves the model once per utilization factor
-and brackets the break-even point where the optimized fleet's projected
-annual cost first exceeds the baseline.
+(8760 by default). The sweep builds one model per utilization factor and
+solves them in ascending order in one pass, each row resuming its
+cheapest-first scan where the previous factor left it, and brackets the
+break-even point where the optimized fleet's projected annual cost first
+exceeds the baseline.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
 )
 from .metrics import Fleet
 from .model import UtilizationPolicy, build_model
-from .solve import AssignmentSolution, Infeasible, solve_exact
+from .solve import AssignmentSolution, Infeasible, solve_ascending
 
 HOURS_PER_YEAR = 8760
 
@@ -67,10 +69,11 @@ def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
     baseline_hourly = 0.0
     target_hourly = 0.0
     for i, w in enumerate(fleet.workloads, start=1):
+        source = catalog.lookup(w.current_type).hourly_cost
         target = catalog.entries[solution.assignment[i] - 1]
         per_workload.append(WorkloadCost(
-            w.id, w.current_cost, target.hourly_cost, target.hourly_cost - w.current_cost))
-        baseline_hourly += w.current_cost
+            w.id, source, target.hourly_cost, target.hourly_cost - source))
+        baseline_hourly += source
         target_hourly += target.hourly_cost
     baseline_annual = baseline_hourly * hours_per_year
     target_annual = target_hourly * hours_per_year
@@ -111,11 +114,16 @@ class SweepResult:
 
 def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = None,
               hours_per_year: int = HOURS_PER_YEAR) -> SweepResult:
-    """Solve once per utilization factor with a uniform policy.
+    """Solve one case per utilization factor with a uniform policy.
 
-    Factors must be strictly increasing and all >= 1; the 31-case default
-    covers 1.0..4.0 in 0.1 steps. Cases with unplaceable workloads record the
-    offending ids and no totals, without aborting the sweep. The break-even
+    The cases are built one at a time and solved by one `solve_ascending`
+    pass, so only one model is alive at a time and each row's scan over the
+    columns resumes where the previous factor left it; every case equals
+    `solve_exact` on its own model. Factors must be strictly increasing and
+    all >= 1; the 31-case default covers 1.0..4.0 in 0.1 steps. Cases with
+    unplaceable workloads record the offending ids and no totals, without
+    aborting the sweep; a workload that fits no column stays unplaceable at
+    every larger factor. The break-even
     bracket is the pair of consecutive feasible factors between which
     total_annual first exceeds baseline_annual; it is absent when the
     baseline is never exceeded or is exceeded from the first feasible case.
@@ -132,13 +140,12 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
 
     baseline_hourly = 0.0
     for w in fleet.workloads:
-        baseline_hourly += w.current_cost
+        baseline_hourly += catalog.lookup(w.current_type).hourly_cost
     baseline_annual = baseline_hourly * hours_per_year
 
     cases = []
-    for delta in sweep:
-        model = build_model(fleet, catalog, UtilizationPolicy.uniform(delta))
-        result = solve_exact(model)
+    models = (build_model(fleet, catalog, UtilizationPolicy.uniform(delta)) for delta in sweep)
+    for delta, result in zip(sweep, solve_ascending(models)):
         if isinstance(result, Infeasible):
             cases.append(SweepCase(
                 delta, None, None, tuple(r.workload_id for r in result.rows), None))

@@ -30,6 +30,7 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_DELTA = 1.5
 DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
+MAX_SWEEP_CASES = 10_000  # a spec asking for more is refused before its factors are built
 FORMATS = ("json", "text", "csv")
 _EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
 # every file each command can write into --out, in any --format
@@ -68,8 +69,10 @@ def parse_sweep_spec(spec: str) -> tuple[float, ...]:
         raise ConfigError("sweep step must be > 0")
     if end < start:
         raise ConfigError("sweep end must be >= start")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
-    return tuple(round(start + k * step, 10) for k in range(count))
+    steps = (end - start) / step + 1e-9
+    if not steps < MAX_SWEEP_CASES:  # also catches an overflow to inf
+        raise ConfigError(f"sweep spec {spec!r} asks for more than {MAX_SWEEP_CASES} cases")
+    return tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
 
 
 class _Parser(argparse.ArgumentParser):

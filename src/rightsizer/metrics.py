@@ -51,7 +51,6 @@ class WorkloadProfile:
     current_type: str   # catalog key of the type it runs on today
     cpu_demand: float   # ECU
     mem_demand: float   # GiB
-    current_cost: float  # USD/hour of the current type
 
 
 @dataclass(frozen=True)
@@ -260,6 +259,5 @@ def build_fleet(metrics: IngestedMetrics, catalog: Catalog, bindings: Mapping[st
             current_type=type_key,
             cpu_demand=stats[Metric.CPU].demand_pct / 100.0 * current.cpu_capacity,
             mem_demand=stats[Metric.MEM].demand_pct / 100.0 * current.mem_capacity,
-            current_cost=current.hourly_cost,
         ))
     return Fleet(tuple(workloads))

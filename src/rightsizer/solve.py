@@ -2,15 +2,18 @@
 
 Every capacity constraint couples a cell only to its own row and the
 one-type-per-row constraint is per-row too, so the global cost minimum
-decomposes into independent per-row choices. `solve_exact` exploits that;
-`solve_bruteforce` deliberately does not and enumerates candidate
-assignments wholesale, which makes it a usable oracle for the exact path.
+decomposes into independent per-row choices. `solve_ascending` exploits
+that for a sequence of models (a sweep), carrying each row's place in the
+column order from one model to the next; `solve_exact` is the same path
+for one model. `solve_bruteforce` deliberately does not and enumerates
+candidate assignments wholesale, which makes it a usable oracle for both.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .catalog import Catalog
 from .errors import BudgetExceededError
@@ -65,28 +68,52 @@ def _infeasible_rows(model: AssignmentModel) -> list[InfeasibleRow]:
     return rows
 
 
-def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
-    """Pick the cheapest feasible column for every row independently.
+def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSolution | Infeasible]:
+    """Solve each model in turn; yield for each exactly what solving it alone gives.
 
     Row-separability makes the per-row argmin the global optimum. Each row
     takes the first column that fits in the shared tie-break order, which
     is a strict order because catalog keys are unique. When any row has no
     feasible column the result is Infeasible, listing every such row.
+
+    A row resumes its scan at the column it took in the previous model: a
+    column refused at some demand is refused at any larger one. A row whose
+    scaled cpu or mem went down, and every row after a change of catalog or
+    fleet size, scans from the cheapest column again. So factors that only
+    grow, as in a sweep, cost each row one pass over the columns in all.
     """
-    by_preference = sorted(range(model.column_count), key=_column_order(model.catalog).__getitem__)
-    assignment: dict[int, int] = {}
-    missing: list[InfeasibleRow] = []
-    total = 0.0  # summed in row order, as solve_bruteforce does
-    for i, w in enumerate(model.fleet.workloads):
-        best = next((j for j in by_preference if model.fits(i, j)), None)
-        if best is None:
-            missing.append(InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i]))
-        else:
-            assignment[i + 1] = best + 1
-            total += model.cost[best]
-    if missing:
-        return Infeasible(tuple(missing))
-    return AssignmentSolution(assignment, total)
+    catalog, start = None, []
+    for model in models:
+        cpu, mem = model.scaled_cpu, model.scaled_mem
+        if model.catalog is not catalog or model.row_count != len(start):
+            catalog = model.catalog
+            by_preference = sorted(range(model.column_count), key=_column_order(catalog).__getitem__)
+            n = len(by_preference)
+            start = [0] * model.row_count
+            last_cpu, last_mem = cpu, mem
+        assignment: dict[int, int] = {}
+        missing: list[InfeasibleRow] = []
+        total = 0.0  # summed in row order, as solve_bruteforce does
+        for i, w in enumerate(model.fleet.workloads):
+            k = start[i] if cpu[i] >= last_cpu[i] and mem[i] >= last_mem[i] else 0
+            while k < n and not model.fits(i, by_preference[k]):
+                k += 1
+            start[i] = k
+            if k == n:
+                missing.append(InfeasibleRow(i + 1, w.id, cpu[i], mem[i]))
+            else:
+                assignment[i + 1] = by_preference[k] + 1
+                total += model.cost[by_preference[k]]
+        last_cpu, last_mem = cpu, mem
+        yield Infeasible(tuple(missing)) if missing else AssignmentSolution(assignment, total)
+
+
+def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
+    """Pick the cheapest feasible column for every row independently.
+
+    The one-model case of `solve_ascending`; see there for the rule.
+    """
+    return next(solve_ascending([model]))
 
 
 def solve_bruteforce(model: AssignmentModel,
@@ -95,7 +122,7 @@ def solve_bruteforce(model: AssignmentModel,
 
     Raises BudgetExceededError when N^M candidate assignments exceed the
     budget. Ties are broken by comparing the per-row column order tuples in
-    row order, which matches solve_exact's choice.
+    row order, which matches the per-row first fit of solve_ascending.
     """
     m, n = model.row_count, model.column_count
     candidates = n ** m

@@ -27,8 +27,8 @@ def abc_catalog() -> Catalog:
     return Catalog(ABC_ENTRIES)
 
 
-def one_workload_fleet(cpu=1.5, mem=3.0, current_type="lin.a.small.r1", cost=0.10) -> Fleet:
-    return Fleet((WorkloadProfile("w1", current_type, cpu, mem, cost),))
+def one_workload_fleet(cpu=1.5, mem=3.0, current_type="lin.a.small.r1") -> Fleet:
+    return Fleet((WorkloadProfile("w1", current_type, cpu, mem),))
 
 
 def model_for(fleet: Fleet, catalog: Catalog, delta: float) -> AssignmentModel:
@@ -63,7 +63,6 @@ def random_trial_model(rng: random.Random) -> AssignmentModel:
             current_type=current.key,
             cpu_demand=round(rng.uniform(0.0, current.cpu_capacity), 3),
             mem_demand=round(rng.uniform(0.0, current.mem_capacity), 3),
-            current_cost=current.hourly_cost,
         ))
     delta = round(rng.uniform(1.0, 3.0), 2)
     return build_model(Fleet(tuple(workloads)), catalog, UtilizationPolicy.uniform(delta))

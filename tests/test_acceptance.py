@@ -110,7 +110,7 @@ def test_criterion_4_annual_projection_anchor():
             InstanceType("os.big.x.r1", 4.0, 8.0, 21.09),
             InstanceType("os.small.y.r1", 4.0, 8.0, 10.15),
         ))
-        fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0, 21.09),))
+        fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
         report = project_costs(fleet, catalog, AssignmentSolution({1: 2}, 10.15),
                                hours_per_year=8760)
         assert report.baseline_annual == pytest.approx(184748.40, abs=1e-6)

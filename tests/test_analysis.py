@@ -40,7 +40,7 @@ def anchor_catalog():
 
 
 def test_annual_projection_anchor():
-    fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0, 21.09),))
+    fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
     report = project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 2}, 10.15))
     assert report.baseline_hourly == pytest.approx(21.09)
     assert report.baseline_annual == pytest.approx(184748.40)
@@ -50,7 +50,7 @@ def test_annual_projection_anchor():
 
 
 def test_zero_savings_when_assignment_is_identity():
-    fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0, 21.09),))
+    fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
     report = project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 1}, 21.09))
     assert report.savings_fraction == 0.0
     assert report.per_workload[0].delta == 0.0
@@ -71,8 +71,8 @@ def test_annual_is_hourly_times_hours_exactly():
 
 def test_project_costs_rejects_partial_solution():
     fleet = Fleet((
-        WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0, 21.09),
-        WorkloadProfile("w2", "os.big.x.r1", 1.0, 2.0, 21.09),
+        WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),
+        WorkloadProfile("w2", "os.big.x.r1", 1.0, 2.0),
     ))
     with pytest.raises(RowMismatchError):
         project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 1}, 21.09))
@@ -92,7 +92,7 @@ def sweep_catalog():
 
 
 def sweep_fleet():
-    return Fleet((WorkloadProfile("w1", "lin.d.tiny.r1", 1.5, 3.0, 0.15),))
+    return Fleet((WorkloadProfile("w1", "lin.d.tiny.r1", 1.5, 3.0),))
 
 
 def test_sweep_totals_and_infeasible_case():
@@ -112,13 +112,13 @@ def test_sweep_break_even_bracket():
 
 
 def test_sweep_break_even_absent_when_never_exceeded():
-    fleet = Fleet((WorkloadProfile("w1", "lin.c.large.r1", 1.5, 3.0, 0.40),))
+    fleet = Fleet((WorkloadProfile("w1", "lin.c.large.r1", 1.5, 3.0),))
     result = run_sweep(fleet, sweep_catalog(), [1.0, 1.2])
     assert result.break_even is None
 
 
 def test_sweep_break_even_absent_when_exceeded_from_start():
-    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0, 0.10),))
+    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0),))
     result = run_sweep(fleet, sweep_catalog(), [1.5, 2.0])
     assert result.cases[0].total_annual > result.baseline_annual
     assert result.break_even is None
@@ -165,7 +165,7 @@ def test_utilization_fractions():
         InstanceType("os.cur.x.r1", 4.0, 8.0, 0.20),
         InstanceType("os.tgt.y.r1", 2.0, 4.0, 0.10),
     ))
-    fleet = Fleet((WorkloadProfile("w1", "os.cur.x.r1", 1.6, 2.0, 0.20),))
+    fleet = Fleet((WorkloadProfile("w1", "os.cur.x.r1", 1.6, 2.0),))
     report = utilization_report(fleet, catalog, AssignmentSolution({1: 2}, 0.10))
     row = report.per_workload[0]
     assert row.source_cpu_util == pytest.approx(0.40)
@@ -177,8 +177,8 @@ def test_utilization_fractions():
 def test_identity_assignment_keeps_utilization():
     catalog = abc_catalog()
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.b.medium.r1", 2.4, 3.0, 0.20),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0),
+        WorkloadProfile("w2", "lin.b.medium.r1", 2.4, 3.0),
     ))
     report = utilization_report(fleet, catalog, AssignmentSolution({1: 1, 2: 2}, 0.30))
     for row in report.per_workload:
@@ -204,7 +204,7 @@ def test_target_utilization_bounded_by_factor():
 
 def test_single_workload_report_skips_ttest():
     catalog = abc_catalog()
-    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0, 0.10),))
+    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0),))
     report = utilization_report(fleet, catalog, AssignmentSolution({1: 1}, 0.10))
     assert report.cpu_ttest is None
     assert report.mem_ttest is None
@@ -260,9 +260,9 @@ def test_t_antisymmetric_and_matches_scipy():
 def test_consolidation_tally():
     catalog = abc_catalog()
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w3", "lin.b.medium.r1", 0.5, 1.0, 0.20),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w3", "lin.b.medium.r1", 0.5, 1.0),
     ))
     report = consolidation_report(fleet, catalog, AssignmentSolution({1: 1, 2: 1, 3: 1}, 0.30))
     assert report.source_type_count == 2
@@ -276,8 +276,8 @@ def test_consolidation_tally():
 def test_consolidation_identity_assignment():
     catalog = abc_catalog()
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0, 0.20),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0),
     ))
     report = consolidation_report(fleet, catalog, AssignmentSolution({1: 1, 2: 2}, 0.30))
     assert report.source_type_count == report.target_type_count == 2
@@ -287,8 +287,8 @@ def test_consolidation_identity_assignment():
 def test_consolidation_disjoint_sets():
     catalog = abc_catalog()
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0, 0.20),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0),
     ))
     report = consolidation_report(fleet, catalog, AssignmentSolution({1: 3, 2: 3}, 0.80))
     assert report.target_type_count == 1

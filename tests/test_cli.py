@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from rightsizer import reports
-from rightsizer.cli import main, parse_sweep_spec
+from rightsizer.cli import MAX_SWEEP_CASES, main, parse_sweep_spec
 from rightsizer.analysis import default_sweep_deltas
 from rightsizer.errors import ConfigError
 
@@ -228,6 +228,19 @@ def test_parse_sweep_spec_matches_default():
         parse_sweep_spec("1.0:2.0")
     with pytest.raises(ConfigError):
         parse_sweep_spec("1.0:2.0:0")
+
+
+def test_sweep_spec_case_count_is_bounded_before_allocation(inputs, tmp_path, capsys):
+    assert len(parse_sweep_spec("1.0:4.0:0.1")) == 31
+    assert len(parse_sweep_spec(f"1.0:{MAX_SWEEP_CASES}.0:1.0")) == MAX_SWEEP_CASES
+    with pytest.raises(ConfigError, match=f"more than {MAX_SWEEP_CASES} cases"):
+        parse_sweep_spec(f"1.0:{MAX_SWEEP_CASES + 1}.0:1.0")
+    with pytest.raises(ConfigError):
+        parse_sweep_spec("1.0:1e308:1e-300")  # the case count overflows to inf
+    assert run(inputs, "sweep", "--sweep", "1.0:2.0:0.00001",  # 100 001 cases
+               "--out", str(tmp_path / "out")) == 1
+    assert "more than" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- export-ampl ------------------------------------------------------------------

@@ -76,10 +76,10 @@ def test_exact_boundary_is_feasible():
 def test_feasibility_readers_agree_at_exact_capacity():
     # column 1 is 2 ECU / 4 GiB; rows sit exactly on it or one ulp above it
     fleet = Fleet((
-        WorkloadProfile("exact", "lin.a.small.r1", 2.0, 4.0, 0.10),
-        WorkloadProfile("cpu_ulp", "lin.a.small.r1", math.nextafter(2.0, 3.0), 4.0, 0.10),
-        WorkloadProfile("mem_ulp", "lin.a.small.r1", 2.0, math.nextafter(4.0, 5.0), 0.10),
-        WorkloadProfile("scaled", "lin.a.small.r1", 1.0, 2.0, 0.10),  # x2 lands on 2 / 4
+        WorkloadProfile("exact", "lin.a.small.r1", 2.0, 4.0),
+        WorkloadProfile("cpu_ulp", "lin.a.small.r1", math.nextafter(2.0, 3.0), 4.0),
+        WorkloadProfile("mem_ulp", "lin.a.small.r1", 2.0, math.nextafter(4.0, 5.0)),
+        WorkloadProfile("scaled", "lin.a.small.r1", 1.0, 2.0),  # x2 lands on 2 / 4
     ))
     model = build_model(fleet, abc_catalog(), UtilizationPolicy(1.0, {"scaled": 2.0}))
     assert model.feasible == (
@@ -94,15 +94,15 @@ def test_feasibility_readers_agree_at_exact_capacity():
 
 def test_cost_matrix_is_column_constant():
     fleet = Fleet(tuple(
-        WorkloadProfile(f"w{i}", "lin.a.small.r1", 0.5, 1.0, 0.10) for i in range(4)))
+        WorkloadProfile(f"w{i}", "lin.a.small.r1", 0.5, 1.0) for i in range(4)))
     model = model_for(fleet, abc_catalog(), 1.2)
     assert model.cost == tuple(e.hourly_cost for e in abc_catalog().entries)
 
 
 def test_per_workload_factor_overrides_default():
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0, 0.10),
-        WorkloadProfile("w2", "lin.a.small.r1", 1.5, 3.0, 0.10),
+        WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0),
+        WorkloadProfile("w2", "lin.a.small.r1", 1.5, 3.0),
     ))
     policy = UtilizationPolicy(default=1.0, factors={"w2": 1.5})
     model = build_model(fleet, abc_catalog(), policy)
@@ -160,8 +160,7 @@ def test_dominant_column_always_feasible_at_factor_one():
             workloads.append(WorkloadProfile(
                 f"w{i}", current.key,
                 rng.uniform(0, current.cpu_capacity),
-                rng.uniform(0, current.mem_capacity),
-                current.hourly_cost))
+                rng.uniform(0, current.mem_capacity)))
         model = build_model(Fleet(tuple(workloads)), catalog, UtilizationPolicy.uniform(1.0))
         for row in model.feasible:
             assert row[-1]
@@ -212,8 +211,8 @@ def test_export_data_carries_model_values():
 
 def test_export_cost_block_golden():
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0, 0.10),
-        WorkloadProfile("w2", "lin.b.medium.r1", 3.0, 6.0, 0.20),
+        WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0),
+        WorkloadProfile("w2", "lin.b.medium.r1", 3.0, 6.0),
     ))
     data = export_ampl(model_for(fleet, abc_catalog(), 1.5)).data_text
     assert data.endswith(
@@ -226,7 +225,7 @@ def test_export_cost_block_golden():
 
 def test_export_doubles_embedded_quotes():
     catalog = Catalog((InstanceType("lin.o'neil.r1", 2.0, 4.0, 0.10),))
-    fleet = Fleet((WorkloadProfile("o'brien", "lin.o'neil.r1", 1.5, 3.0, 0.10),))
+    fleet = Fleet((WorkloadProfile("o'brien", "lin.o'neil.r1", 1.5, 3.0),))
     data = export_ampl(model_for(fleet, catalog, 1.0)).data_text
     assert "set SERV :=\n    'o''brien'\n;" in data
     assert "set INST :=\n    'lin.o''neil.r1'\n;" in data

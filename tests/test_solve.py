@@ -13,6 +13,7 @@ from rightsizer import (
     UtilizationPolicy,
     WorkloadProfile,
     build_model,
+    solve_ascending,
     solve_bruteforce,
     solve_exact,
     validate_solution,
@@ -71,8 +72,8 @@ def test_tie_break_prefers_smaller_capacity_then_key():
 
 def test_bruteforce_two_rows():
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0, 0.10),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
     ))
     model = model_for(fleet, abc_catalog(), 1.0)
     solution = solve_bruteforce(model)
@@ -91,7 +92,7 @@ def test_bruteforce_budget_exceeded():
     entries = tuple(
         InstanceType(f"os.f{j}.s.r", 4.0, 8.0, 0.1 * (j + 1)) for j in range(6))
     fleet = Fleet(tuple(
-        WorkloadProfile(f"w{i}", "os.f0.s.r", 1.0, 2.0, 0.1) for i in range(8)))
+        WorkloadProfile(f"w{i}", "os.f0.s.r", 1.0, 2.0) for i in range(8)))
     model = model_for(fleet, Catalog(entries), 1.0)
     with pytest.raises(BudgetExceededError):
         solve_bruteforce(model)
@@ -119,8 +120,8 @@ def test_validate_flags_cost_mismatch():
 
 def test_validate_flags_missing_row():
     fleet = Fleet((
-        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0, 0.10),
-        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0, 0.10),
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
     ))
     model = model_for(fleet, abc_catalog(), 1.0)
     bad = AssignmentSolution({1: 1}, 0.10)
@@ -137,6 +138,13 @@ def test_exact_matches_bruteforce_on_random_models():
         exact = solve_exact(model)
         brute = solve_bruteforce(model)
         assert exact == brute
+
+
+def test_ascending_solve_starts_over_on_another_catalog_or_fleet_size():
+    # consecutive random models rarely share a catalog, and often share a row count
+    rng = random.Random(35)
+    models = [random_trial_model(rng) for _ in range(200)]
+    assert list(solve_ascending(models)) == [solve_bruteforce(m) for m in models]
 
 
 def test_total_cost_monotone_in_factor():
