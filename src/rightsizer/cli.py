@@ -13,7 +13,6 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import reports
 from .analysis import consolidation_report, project_costs, run_sweep, utilization_report
@@ -33,10 +32,14 @@ DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
 MAX_SWEEP_CASES = 10_000  # a spec asking for more is refused before its factors are built
 FORMATS = ("json", "text", "csv")
 _EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
-# every file each command can write into --out, in any --format
-_OPTIMIZE_OUTPUTS = re.compile(r"(assignment|(cost|utilization|consolidation)_report)\.(json|txt|csv)"
-                               r"|plot_(costs|utilization|flow)\.csv")
-_SWEEP_OUTPUTS = re.compile(r"sweep_report\.(json|txt|csv)|plot_annual_cost\.csv|case-[0-9]+\.json")
+# Each report as (file stem, plot CSV). The plot CSV is written in every
+# --format from the same render as the report's own --format csv file.
+_ASSIGNMENT = ("assignment", None)
+_OPTIMIZE_REPORTS = (_ASSIGNMENT, ("cost_report", "plot_costs.csv"),
+                     ("utilization_report", "plot_utilization.csv"),
+                     ("consolidation_report", "plot_flow.csv"))
+_SWEEP_REPORT = ("sweep_report", "plot_annual_cost.csv")
+_CASE_FILE = re.compile(r"case-[0-9]+\.json")
 
 
 @dataclass(frozen=True)
@@ -121,17 +124,29 @@ def _write(path: Path, text: str) -> None:
     path.write_bytes(text.encode("utf-8"))
 
 
-def _prepare_out(out_dir: Path, outputs: re.Pattern) -> None:
+def _prepare_out(out_dir: Path, report_files, other_outputs: re.Pattern | None = None) -> None:
     # no output of an earlier run (infeasible, other format, longer sweep) may outlive this one
+    names = {f"{stem}.{ext}" for stem, _ in report_files for ext in _EXTENSIONS.values()}
+    names.update(plot for _, plot in report_files if plot)
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in out_dir.iterdir():
-        if outputs.fullmatch(path.name):
+        if path.name in names or (other_outputs and other_outputs.fullmatch(path.name)):
             path.unlink()
 
 
-def _emit(out_dir: Path, stem: str, fmt: str, render: dict[str, Callable[[], str]]) -> None:
-    # only the requested format is rendered
-    _write(out_dir / f"{stem}.{_EXTENSIONS[fmt]}", render[fmt]())
+def _emit(out_dir: Path, fmt: str, files: tuple[str, str | None], report: reports.Report) -> None:
+    # only the requested format is rendered, and the plot CSV is the CSV render
+    stem, plot = files
+    table_csv = reports.render_csv(report) if plot or fmt == "csv" else None
+    if fmt == "json":
+        text = reports.to_json(report.payload)
+    elif fmt == "text":
+        text = reports.render_text(report)
+    else:
+        text = table_csv
+    _write(out_dir / f"{stem}.{_EXTENSIONS[fmt]}", text)
+    if plot:
+        _write(out_dir / plot, table_csv)
 
 
 def cmd_optimize(args) -> int:
@@ -140,34 +155,21 @@ def cmd_optimize(args) -> int:
     policy = _load_run_policy(config)
     model = build_model(fleet, catalog, policy)
     out, fmt = config.output_dir, config.format
-    _prepare_out(out, _OPTIMIZE_OUTPUTS)
+    _prepare_out(out, _OPTIMIZE_REPORTS)
 
     result = solve_exact(model)
     if isinstance(result, Infeasible):
-        _emit(out, "assignment", fmt, {
-            "json": lambda: reports.to_json(reports.infeasible_payload(result, config.delta)),
-            "text": lambda: reports.infeasible_text(result),
-            "csv": lambda: reports.infeasible_csv(result)})
+        _emit(out, fmt, _ASSIGNMENT, reports.infeasible_spec(result, config.delta))
         ids = ", ".join(r.workload_id for r in result.rows)
         print(f"infeasible: no catalog type fits {ids} at the requested factor", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    _emit(out, "assignment", fmt, {
-        "json": lambda: reports.to_json(reports.assignment_payload(fleet, catalog, result, config.delta)),
-        "text": lambda: reports.assignment_text(fleet, catalog, result),
-        "csv": lambda: reports.assignment_csv(fleet, catalog, result)})
-    for stem, report, render_text, plot_name, render_plot in (
-            ("cost_report", project_costs(fleet, catalog, result, config.hours_per_year),
-             reports.cost_report_text, "plot_costs.csv", reports.cost_plot_csv),
-            ("utilization_report", utilization_report(fleet, catalog, result),
-             reports.utilization_report_text, "plot_utilization.csv", reports.utilization_plot_csv),
-            ("consolidation_report", consolidation_report(fleet, catalog, result),
-             reports.consolidation_report_text, "plot_flow.csv", reports.flow_plot_csv)):
-        # the report's CSV form is its plot CSV: one render serves both files
-        plot = render_plot(report)
-        _emit(out, stem, fmt, {"json": lambda: reports.to_json(report),
-                               "text": lambda: render_text(report), "csv": lambda: plot})
-        _write(out / plot_name, plot)
+    specs = (reports.assignment_spec(fleet, catalog, result, config.delta),
+             reports.cost_spec(project_costs(fleet, catalog, result, config.hours_per_year)),
+             reports.utilization_spec(utilization_report(fleet, catalog, result)),
+             reports.consolidation_spec(consolidation_report(fleet, catalog, result)))
+    for files, spec in zip(_OPTIMIZE_REPORTS, specs):
+        _emit(out, fmt, files, spec)
     return EXIT_OK
 
 
@@ -176,16 +178,11 @@ def cmd_sweep(args) -> int:
     catalog, fleet = _load_inputs(config)
     result = run_sweep(fleet, catalog, config.sweep_deltas, config.hours_per_year)
     out = config.output_dir
-    _prepare_out(out, _SWEEP_OUTPUTS)
+    _prepare_out(out, [_SWEEP_REPORT], _CASE_FILE)
 
-    plot = reports.sweep_plot_csv(result)
-    _emit(out, "sweep_report", config.format, {
-        "json": lambda: reports.to_json(reports.sweep_report_payload(result)),
-        "text": lambda: reports.sweep_report_text(result),
-        "csv": lambda: plot})
+    _emit(out, config.format, _SWEEP_REPORT, reports.sweep_spec(result))
     for k, case in enumerate(result.cases, start=1):
         _write(out / f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
-    _write(out / "plot_annual_cost.csv", plot)
     return EXIT_OK
 
 

@@ -1,4 +1,11 @@
-"""Report serialization: stable JSON, aligned-column text, and plot-data CSVs."""
+"""Report serialization: stable JSON, aligned-column text, and CSV.
+
+Each artifact is declared once as a `Report`: its JSON payload, the title
+and summary lines of its text form, its rows, and its columns. A column
+holds its text header, its CSV header, a row getter and a text-cell format,
+so `render_text` and `render_csv` can write any report; the CSV form of a
+report is also its plot CSV.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +13,10 @@ import csv
 import dataclasses
 import io
 import json
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Sequence
 
 from .analysis import (
     ConsolidationReport,
@@ -37,25 +47,65 @@ def to_json(payload) -> str:
     return json.dumps(_plain(payload), indent=2) + "\n"
 
 
-def csv_text(rows) -> str:
+@dataclass(frozen=True)
+class Column:
+    """One report column; without a text header it is CSV-only, without a CSV header text-only."""
+
+    text: str | None
+    csv: str | None
+    get: Callable[[Any], Any]  # row -> value; the CSV writes it as is, None as an empty cell
+    cell: Callable[[Any], str] = str  # value -> text cell
+    left: bool = False  # text alignment; right-aligned otherwise
+
+
+@dataclass(frozen=True)
+class Report:
+    """One artifact: its JSON payload, and the text and CSV forms its columns declare."""
+
+    payload: Any  # what `to_json` writes for --format json
+    title: str
+    summary: tuple[str, ...]  # text lines between the title and the table
+    rows: Sequence
+    columns: tuple[Column, ...]
+
+
+def render_text(report: Report) -> str:
+    """The title, the indented summary lines and an aligned table of the text columns."""
+    columns = [c for c in report.columns if c.text is not None]
+    table = [[c.text for c in columns]]
+    table += [[c.cell(c.get(row)) for c in columns] for row in report.rows]
+    widths = [max(map(len, cells)) for cells in zip(*table)]
+    lines = [report.title, *(f"  {line}" for line in report.summary), ""]
+    for cells in table:
+        lines.append("  ".join(cell.ljust(width) if c.left else cell.rjust(width)
+                               for c, cell, width in zip(columns, cells, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def render_csv(report: Report) -> str:
+    """The CSV columns' headers, then one line of raw values per row."""
+    columns = [c for c in report.columns if c.csv is not None]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([c.csv for c in columns])
+    writer.writerows([c.get(row) for c in columns] for row in report.rows)
     return buf.getvalue()
 
 
-def _table(header: tuple[str, ...], rows: list[tuple[str, ...]],
-           left: frozenset[int] = frozenset({0})) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
+def _percent(fraction: float) -> str:
+    return f"{100.0 * fraction:.2f}"
 
-    def fmt(cells):
-        out = []
-        for c, cell in enumerate(cells):
-            out.append(cell.ljust(widths[c]) if c in left else cell.rjust(widths[c]))
-        return "  ".join(out).rstrip()
 
-    return [fmt(header)] + [fmt(row) for row in rows]
+def _dash_or(cell: Callable[[Any], str]) -> Callable[[Any], str]:
+    # an infeasible sweep case has no totals
+    return lambda value: "-" if value is None else cell(value)
+
+
+def _factor(delta: float) -> str:
+    # `:g` keeps six significant digits and so can print two factors alike;
+    # it labels a factor only when its text reads back as the same float
+    label = f"{delta:g}"
+    return label if float(label) == delta else repr(delta)
 
 
 def _ttest_line(result: TTestResult | None) -> str:
@@ -64,140 +114,105 @@ def _ttest_line(result: TTestResult | None) -> str:
     return f"t = {result.t_statistic:.4f}, df = {result.degrees_of_freedom:g} ({result.variant})"
 
 
-# --- cost report ---------------------------------------------------------
-
-def cost_report_text(report: CostReport) -> str:
-    lines = [
-        "cost report",
-        f"  hours per year   {report.hours_per_year}",
-        f"  baseline hourly  {report.baseline_hourly:.4f} USD/h",
-        f"  target hourly    {report.target_hourly:.4f} USD/h",
-        f"  baseline annual  {report.baseline_annual:.2f} USD/y",
-        f"  target annual    {report.target_annual:.2f} USD/y",
-        f"  savings          {100.0 * report.savings_fraction:.2f} %",
-        "",
-    ]
-    lines += _table(
-        ("workload", "source $/h", "target $/h", "delta $/h"),
-        [(w.id, f"{w.source_hourly:.4f}", f"{w.target_hourly:.4f}", f"{w.delta:+.4f}")
-         for w in report.per_workload])
-    return "\n".join(lines) + "\n"
-
-
-def cost_plot_csv(report: CostReport) -> str:
-    rows = [("workload_id", "source_hourly", "target_hourly", "delta")]
-    rows += [(w.id, w.source_hourly, w.target_hourly, w.delta) for w in report.per_workload]
-    return csv_text(rows)
+def cost_spec(report: CostReport) -> Report:
+    return Report(
+        payload=report,
+        title="cost report",
+        summary=(
+            f"hours per year   {report.hours_per_year}",
+            f"baseline hourly  {report.baseline_hourly:.4f} USD/h",
+            f"target hourly    {report.target_hourly:.4f} USD/h",
+            f"baseline annual  {report.baseline_annual:.2f} USD/y",
+            f"target annual    {report.target_annual:.2f} USD/y",
+            f"savings          {100.0 * report.savings_fraction:.2f} %",
+        ),
+        rows=report.per_workload,
+        columns=(
+            Column("workload", "workload_id", attrgetter("id"), left=True),
+            Column("source $/h", "source_hourly", attrgetter("source_hourly"), "{:.4f}".format),
+            Column("target $/h", "target_hourly", attrgetter("target_hourly"), "{:.4f}".format),
+            Column("delta $/h", "delta", attrgetter("delta"), "{:+.4f}".format),
+        ))
 
 
-# --- utilization report --------------------------------------------------
-
-def utilization_report_text(report: UtilizationReport) -> str:
+def utilization_spec(report: UtilizationReport) -> Report:
     m = report.means
-    lines = [
-        "utilization report",
-        f"  mean cpu util    {100.0 * m.source_cpu:.2f} % -> {100.0 * m.target_cpu:.2f} %",
-        f"  mean mem util    {100.0 * m.source_mem:.2f} % -> {100.0 * m.target_mem:.2f} %",
-        f"  cpu t-test       {_ttest_line(report.cpu_ttest)}",
-        f"  mem t-test       {_ttest_line(report.mem_ttest)}",
-        "",
-    ]
-    lines += _table(
-        ("workload", "src cpu %", "tgt cpu %", "src mem %", "tgt mem %"),
-        [(r.id,
-          f"{100.0 * r.source_cpu_util:.2f}", f"{100.0 * r.target_cpu_util:.2f}",
-          f"{100.0 * r.source_mem_util:.2f}", f"{100.0 * r.target_mem_util:.2f}")
-         for r in report.per_workload])
-    return "\n".join(lines) + "\n"
+    return Report(
+        payload=report,
+        title="utilization report",
+        summary=(
+            f"mean cpu util    {100.0 * m.source_cpu:.2f} % -> {100.0 * m.target_cpu:.2f} %",
+            f"mean mem util    {100.0 * m.source_mem:.2f} % -> {100.0 * m.target_mem:.2f} %",
+            f"cpu t-test       {_ttest_line(report.cpu_ttest)}",
+            f"mem t-test       {_ttest_line(report.mem_ttest)}",
+        ),
+        rows=report.per_workload,
+        columns=(
+            Column("workload", "workload_id", attrgetter("id"), left=True),
+            Column("src cpu %", "source_cpu_util", attrgetter("source_cpu_util"), _percent),
+            Column("tgt cpu %", "target_cpu_util", attrgetter("target_cpu_util"), _percent),
+            Column("src mem %", "source_mem_util", attrgetter("source_mem_util"), _percent),
+            Column("tgt mem %", "target_mem_util", attrgetter("target_mem_util"), _percent),
+        ))
 
 
-def utilization_plot_csv(report: UtilizationReport) -> str:
-    rows = [("workload_id", "source_cpu_util", "target_cpu_util",
-             "source_mem_util", "target_mem_util")]
-    rows += [(r.id, r.source_cpu_util, r.target_cpu_util, r.source_mem_util, r.target_mem_util)
-             for r in report.per_workload]
-    return csv_text(rows)
+def consolidation_spec(report: ConsolidationReport) -> Report:
+    return Report(
+        payload=report,
+        title="consolidation report",
+        summary=(
+            f"source types  {report.source_type_count}",
+            f"target types  {report.target_type_count}",
+        ),
+        rows=report.flow_edges,
+        columns=(
+            Column("source_type", "source_type", attrgetter("source_type"), left=True),
+            Column("target_type", "target_type", attrgetter("target_type"), left=True),
+            Column("workloads", "workload_count", attrgetter("workload_count")),
+        ))
 
 
-# --- consolidation report ------------------------------------------------
-
-def consolidation_report_text(report: ConsolidationReport) -> str:
-    lines = [
-        "consolidation report",
-        f"  source types  {report.source_type_count}",
-        f"  target types  {report.target_type_count}",
-        "",
-    ]
-    lines += _table(
-        ("source_type", "target_type", "workloads"),
-        [(e.source_type, e.target_type, str(e.workload_count)) for e in report.flow_edges],
-        left=frozenset({0, 1}))
-    return "\n".join(lines) + "\n"
-
-
-def flow_plot_csv(report: ConsolidationReport) -> str:
-    rows = [("source_type", "target_type", "workload_count")]
-    rows += [(e.source_type, e.target_type, e.workload_count) for e in report.flow_edges]
-    return csv_text(rows)
-
-
-# --- sweep report --------------------------------------------------------
-
-def sweep_report_payload(result: SweepResult) -> dict:
-    """JSON payload for the sweep summary (per-case assignments live in case files)."""
-    return {
-        "hours_per_year": result.hours_per_year,
-        "baseline_hourly": result.baseline_hourly,
-        "baseline_annual": result.baseline_annual,
-        "break_even": None if result.break_even is None else {
-            "last_saving_delta": result.break_even.last_saving_delta,
-            "first_exceeding_delta": result.break_even.first_exceeding_delta,
-        },
-        "cases": [
-            {
-                "delta": c.delta,
-                "total_hourly": c.total_hourly,
-                "total_annual": c.total_annual,
-                "infeasible_ids": list(c.infeasible_ids),
-            }
-            for c in result.cases
-        ],
-    }
-
-
-def sweep_report_text(result: SweepResult) -> str:
+def sweep_spec(result: SweepResult) -> Report:
+    """The sweep summary; per-case assignments live in the case files."""
     if result.break_even is None:
         break_even = "not reached"
     else:
-        break_even = (f"between {result.break_even.last_saving_delta:g} "
-                      f"and {result.break_even.first_exceeding_delta:g}")
-    lines = [
-        "sweep report",
-        f"  hours per year   {result.hours_per_year}",
-        f"  baseline hourly  {result.baseline_hourly:.4f} USD/h",
-        f"  baseline annual  {result.baseline_annual:.2f} USD/y",
-        f"  break-even       {break_even}",
-        "",
-    ]
-    rows = []
-    for c in result.cases:
-        if c.total_hourly is None:
-            rows.append((f"{c.delta:g}", "-", "-", ",".join(c.infeasible_ids)))
-        else:
-            rows.append((f"{c.delta:g}", f"{c.total_hourly:.4f}", f"{c.total_annual:.2f}", ""))
-    lines += _table(("delta", "total $/h", "total $/y", "unplaceable"), rows,
-                    left=frozenset({3}))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_plot_csv(result: SweepResult) -> str:
-    rows = [("delta", "total_hourly", "total_annual", "baseline_annual")]
-    for c in result.cases:
-        rows.append((c.delta,
-                     "" if c.total_hourly is None else c.total_hourly,
-                     "" if c.total_annual is None else c.total_annual,
-                     result.baseline_annual))
-    return csv_text(rows)
+        break_even = (f"between {_factor(result.break_even.last_saving_delta)} "
+                      f"and {_factor(result.break_even.first_exceeding_delta)}")
+    return Report(
+        payload={
+            "hours_per_year": result.hours_per_year,
+            "baseline_hourly": result.baseline_hourly,
+            "baseline_annual": result.baseline_annual,
+            "break_even": None if result.break_even is None else {
+                "last_saving_delta": result.break_even.last_saving_delta,
+                "first_exceeding_delta": result.break_even.first_exceeding_delta,
+            },
+            "cases": [
+                {
+                    "delta": c.delta,
+                    "total_hourly": c.total_hourly,
+                    "total_annual": c.total_annual,
+                    "infeasible_ids": list(c.infeasible_ids),
+                }
+                for c in result.cases
+            ],
+        },
+        title="sweep report",
+        summary=(
+            f"hours per year   {result.hours_per_year}",
+            f"baseline hourly  {result.baseline_hourly:.4f} USD/h",
+            f"baseline annual  {result.baseline_annual:.2f} USD/y",
+            f"break-even       {break_even}",
+        ),
+        rows=result.cases,
+        columns=(
+            Column("delta", "delta", attrgetter("delta"), _factor),
+            Column("total $/h", "total_hourly", attrgetter("total_hourly"), _dash_or("{:.4f}".format)),
+            Column("total $/y", "total_annual", attrgetter("total_annual"), _dash_or("{:.2f}".format)),
+            Column("unplaceable", None, lambda case: ",".join(case.infeasible_ids), left=True),
+            Column(None, "baseline_annual", lambda case: result.baseline_annual),
+        ))
 
 
 def sweep_case_payload(case_number: int, case) -> dict:
@@ -212,9 +227,8 @@ def sweep_case_payload(case_number: int, case) -> dict:
     }
 
 
-# --- assignment artifact -------------------------------------------------
-
-def assignment_records(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution) -> list[dict]:
+def assignment_spec(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
+                    default_delta: float) -> Report:
     records = []
     for i, w in enumerate(fleet.workloads, start=1):
         target = catalog.entries[solution.assignment[i] - 1]
@@ -224,64 +238,43 @@ def assignment_records(fleet: Fleet, catalog: Catalog, solution: AssignmentSolut
             "target_type": target.key,
             "target_hourly": target.hourly_cost,
         })
-    return records
+    return Report(
+        payload={
+            "status": "optimal",
+            "default_delta": default_delta,
+            "total_hourly_cost": solution.total_hourly_cost,
+            "assignments": records,
+        },
+        title="assignment",
+        summary=(f"total hourly cost  {solution.total_hourly_cost:.4f} USD/h",),
+        rows=records,
+        columns=(
+            Column("workload", "workload_id", itemgetter("workload_id"), left=True),
+            Column("current type", "current_type", itemgetter("current_type"), left=True),
+            Column("target type", "target_type", itemgetter("target_type"), left=True),
+            Column("target $/h", "target_hourly", itemgetter("target_hourly"), "{:.4f}".format),
+        ))
 
 
-def assignment_payload(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
-                       default_delta: float) -> dict:
-    return {
-        "status": "optimal",
-        "default_delta": default_delta,
-        "total_hourly_cost": solution.total_hourly_cost,
-        "assignments": assignment_records(fleet, catalog, solution),
-    }
-
-
-def assignment_text(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution) -> str:
-    lines = [
-        "assignment",
-        f"  total hourly cost  {solution.total_hourly_cost:.4f} USD/h",
-        "",
-    ]
-    lines += _table(
-        ("workload", "current type", "target type", "target $/h"),
-        [(r["workload_id"], r["current_type"], r["target_type"], f"{r['target_hourly']:.4f}")
-         for r in assignment_records(fleet, catalog, solution)],
-        left=frozenset({0, 1, 2}))
-    return "\n".join(lines) + "\n"
-
-
-def assignment_csv(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution) -> str:
-    rows = [("workload_id", "current_type", "target_type", "target_hourly")]
-    rows += [(r["workload_id"], r["current_type"], r["target_type"], r["target_hourly"])
-             for r in assignment_records(fleet, catalog, solution)]
-    return csv_text(rows)
-
-
-def infeasible_payload(result: Infeasible, default_delta: float) -> dict:
-    return {
-        "status": "infeasible",
-        "default_delta": default_delta,
-        "infeasible": [
-            {
-                "workload_id": r.workload_id,
-                "cpu_required": r.cpu_required,
-                "mem_required": r.mem_required,
-            }
-            for r in result.rows
-        ],
-    }
-
-
-def infeasible_text(result: Infeasible) -> str:
-    lines = ["assignment", "  status: infeasible (no catalog type fits the scaled demand)", ""]
-    lines += _table(
-        ("workload", "needs ECU", "needs GiB"),
-        [(r.workload_id, f"{r.cpu_required:.4f}", f"{r.mem_required:.4f}") for r in result.rows])
-    return "\n".join(lines) + "\n"
-
-
-def infeasible_csv(result: Infeasible) -> str:
-    rows = [("workload_id", "cpu_required", "mem_required")]
-    rows += [(r.workload_id, r.cpu_required, r.mem_required) for r in result.rows]
-    return csv_text(rows)
+def infeasible_spec(result: Infeasible, default_delta: float) -> Report:
+    return Report(
+        payload={
+            "status": "infeasible",
+            "default_delta": default_delta,
+            "infeasible": [
+                {
+                    "workload_id": r.workload_id,
+                    "cpu_required": r.cpu_required,
+                    "mem_required": r.mem_required,
+                }
+                for r in result.rows
+            ],
+        },
+        title="assignment",
+        summary=("status: infeasible (no catalog type fits the scaled demand)",),
+        rows=result.rows,
+        columns=(
+            Column("workload", "workload_id", attrgetter("workload_id"), left=True),
+            Column("needs ECU", "cpu_required", attrgetter("cpu_required"), "{:.4f}".format),
+            Column("needs GiB", "mem_required", attrgetter("mem_required"), "{:.4f}".format),
+        ))

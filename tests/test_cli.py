@@ -147,19 +147,23 @@ def test_optimize_reruns_leave_only_their_own_outputs(inputs, tmp_path):
 
 def test_optimize_renders_only_the_requested_format(inputs, tmp_path, monkeypatch):
     calls = []
-    for name in ("to_json", "assignment_text", "assignment_csv",
-                 "cost_report_text", "utilization_report_text", "consolidation_report_text",
-                 "cost_plot_csv", "utilization_plot_csv", "flow_plot_csv"):
+    for name in ("to_json", "render_text", "render_csv"):
         def counted(*args, _name=name, _render=getattr(reports, name)):
             calls.append(_name)
             return _render(*args)
         monkeypatch.setattr(reports, name, counted)
-    out = tmp_path / "out"
-    assert run(inputs, "optimize", "--delta", "1.5", "--format", "csv", "--out", str(out)) == 0
-    assert sorted(calls) == ["assignment_csv", "cost_plot_csv", "flow_plot_csv", "utilization_plot_csv"]
+    # the three plot CSVs are rendered in every format; with csv, that one
+    # render is also the report's own .csv
+    for fmt, requested in (("json", ["to_json"] * 4), ("text", ["render_text"] * 4),
+                           ("csv", ["render_csv"])):
+        calls.clear()
+        out = tmp_path / fmt
+        assert run(inputs, "optimize", "--delta", "1.5", "--format", fmt, "--out", str(out)) == 0
+        assert sorted(calls) == sorted(["render_csv"] * 3 + requested)
+    csv_out = tmp_path / "csv"
     for report, plot in (("cost_report", "plot_costs"), ("utilization_report", "plot_utilization"),
                          ("consolidation_report", "plot_flow")):
-        assert (out / f"{report}.csv").read_bytes() == (out / f"{plot}.csv").read_bytes()
+        assert (csv_out / f"{report}.csv").read_bytes() == (csv_out / f"{plot}.csv").read_bytes()
 
 
 # --- sweep ---------------------------------------------------------------------
