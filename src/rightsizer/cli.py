@@ -11,7 +11,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import reports
@@ -40,19 +39,6 @@ _OPTIMIZE_REPORTS = (_ASSIGNMENT, ("cost_report", "plot_costs.csv"),
                      ("consolidation_report", "plot_flow.csv"))
 _SWEEP_REPORT = ("sweep_report", "plot_annual_cost.csv")
 _CASE_FILE = re.compile(r"case-[0-9]+\.json")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    catalog_path: Path
-    metrics_path: Path | None
-    bindings_path: Path | None
-    output_dir: Path
-    delta: float
-    sweep_deltas: tuple[float, ...] | None
-    policy_path: Path | None
-    hours_per_year: int
-    format: str
 
 
 def parse_sweep_spec(spec: str) -> tuple[float, ...]:
@@ -85,39 +71,41 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_config(args, sweep: bool) -> RunConfig:
-    if not sweep and not (math.isfinite(args.delta) and args.delta >= 1.0):
-        raise ConfigError(f"--delta must be finite and >= 1 (utilization factor), got {args.delta}")
-    if args.hours_per_year < 1:
-        raise ConfigError(f"--hours-per-year must be >= 1, got {args.hours_per_year}")
-    return RunConfig(
-        catalog_path=Path(args.catalog),
-        metrics_path=Path(args.metrics),
-        bindings_path=Path(args.bindings),
-        output_dir=Path(args.out),
-        delta=DEFAULT_DELTA if sweep else args.delta,
-        sweep_deltas=parse_sweep_spec(args.sweep) if sweep else None,
-        policy_path=Path(args.policy) if getattr(args, "policy", None) else None,
-        hours_per_year=args.hours_per_year,
-        format=args.format,
-    )
+def _at_least(convert, low, message: str):
+    """An argparse type that converts the text and refuses a value below low or not finite."""
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise ConfigError(message.format(value))
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: ..."
+    return parse
 
 
-def _load_inputs(config: RunConfig):
-    with open(config.catalog_path, "rb") as fh:
+_delta = _at_least(float, 1.0, "--delta must be finite and >= 1 (utilization factor), got {}")
+_hours_per_year = _at_least(int, 1, "--hours-per-year must be >= 1, got {}")
+_count = _at_least(int, 1, "--count must be >= 1, got {}")
+_samples = _at_least(int, 2, "--samples must be >= 2, got {}")
+
+
+def _load_inputs(args):
+    with open(args.catalog, "rb") as fh:
         catalog = load_catalog(fh)
-    with open(config.metrics_path, "rb") as fh:
+    with open(args.metrics, "rb") as fh:
         metrics = ingest_metrics(fh)
-    with open(config.bindings_path, "rb") as fh:
+    with open(args.bindings, "rb") as fh:
         bindings = load_bindings(fh)
     return catalog, build_fleet(metrics, catalog, bindings)
 
 
-def _load_run_policy(config: RunConfig) -> UtilizationPolicy:
-    if config.policy_path is None:
-        return UtilizationPolicy.uniform(config.delta)
-    with open(config.policy_path, "rb") as fh:
-        return load_policy(fh, default=config.delta)
+def _load_model(args):
+    catalog, fleet = _load_inputs(args)
+    if args.policy:
+        with open(args.policy, "rb") as fh:
+            policy = load_policy(fh, default=args.delta)
+    else:
+        policy = UtilizationPolicy.uniform(args.delta)
+    return catalog, fleet, build_model(fleet, catalog, policy)
 
 
 def _write(path: Path, text: str) -> None:
@@ -150,22 +138,19 @@ def _emit(out_dir: Path, fmt: str, files: tuple[str, str | None], report: report
 
 
 def cmd_optimize(args) -> int:
-    config = _build_config(args, sweep=False)
-    catalog, fleet = _load_inputs(config)
-    policy = _load_run_policy(config)
-    model = build_model(fleet, catalog, policy)
-    out, fmt = config.output_dir, config.format
+    catalog, fleet, model = _load_model(args)
+    out, fmt = args.out, args.format
     _prepare_out(out, _OPTIMIZE_REPORTS)
 
     result = solve_exact(model)
     if isinstance(result, Infeasible):
-        _emit(out, fmt, _ASSIGNMENT, reports.infeasible_spec(result, config.delta))
+        _emit(out, fmt, _ASSIGNMENT, reports.infeasible_spec(result, args.delta))
         ids = ", ".join(r.workload_id for r in result.rows)
         print(f"infeasible: no catalog type fits {ids} at the requested factor", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    specs = (reports.assignment_spec(fleet, catalog, result, config.delta),
-             reports.cost_spec(project_costs(fleet, catalog, result, config.hours_per_year)),
+    specs = (reports.assignment_spec(fleet, catalog, result, args.delta),
+             reports.cost_spec(project_costs(fleet, catalog, result, args.hours_per_year)),
              reports.utilization_spec(utilization_report(fleet, catalog, result)),
              reports.consolidation_spec(consolidation_report(fleet, catalog, result)))
     for files, spec in zip(_OPTIMIZE_REPORTS, specs):
@@ -174,56 +159,53 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _build_config(args, sweep=True)
-    catalog, fleet = _load_inputs(config)
-    result = run_sweep(fleet, catalog, config.sweep_deltas, config.hours_per_year)
-    out = config.output_dir
-    _prepare_out(out, [_SWEEP_REPORT], _CASE_FILE)
+    catalog, fleet = _load_inputs(args)
+    result = run_sweep(fleet, catalog, args.sweep, args.hours_per_year)
+    _prepare_out(args.out, [_SWEEP_REPORT], _CASE_FILE)
 
-    _emit(out, config.format, _SWEEP_REPORT, reports.sweep_spec(result))
+    _emit(args.out, args.format, _SWEEP_REPORT, reports.sweep_spec(result))
     for k, case in enumerate(result.cases, start=1):
-        _write(out / f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
+        _write(args.out / f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
     return EXIT_OK
 
 
 def cmd_export_ampl(args) -> int:
-    config = _build_config(args, sweep=False)
-    catalog, fleet = _load_inputs(config)
-    policy = _load_run_policy(config)
-    model = build_model(fleet, catalog, policy)
+    _, _, model = _load_model(args)
     exported = export_ampl(model)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write(config.output_dir / "model.mod", exported.model_text)
-    _write(config.output_dir / "model.dat", exported.data_text)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write(args.out / "model.mod", exported.model_text)
+    _write(args.out / "model.dat", exported.data_text)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
-    if args.samples < 2:
-        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     with open(args.catalog, "rb") as fh:
         catalog = load_catalog(fh)
     output = generate(SynthSpec(args.seed, args.count, args.samples, catalog))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.csv").write_bytes(output.metrics_csv)
-    (out_dir / "bindings.csv").write_bytes(output.bindings_csv)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "metrics.csv").write_bytes(output.metrics_csv)
+    (args.out / "bindings.csv").write_bytes(output.bindings_csv)
     return EXIT_OK
 
 
-def _add_common_inputs(parser, with_policy: bool) -> None:
+def _add_inputs(parser) -> None:
     parser.add_argument("--catalog", required=True, help="catalog CSV path")
     parser.add_argument("--metrics", required=True, help="metrics CSV path")
     parser.add_argument("--bindings", required=True, help="bindings CSV path")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--hours-per-year", type=int, default=8760, dest="hours_per_year",
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
+
+
+def _add_report_flags(parser) -> None:
+    parser.add_argument("--hours-per-year", type=_hours_per_year, default=8760, dest="hours_per_year",
                         help="hours used for annual projections (default 8760)")
     parser.add_argument("--format", choices=FORMATS, default="json",
                         help="report rendering (default json)")
-    if with_policy:
-        parser.add_argument("--policy", help="per-workload factor CSV (workload_id,delta)")
+
+
+def _add_factor_flags(parser) -> None:
+    parser.add_argument("--policy", help="per-workload factor CSV (workload_id,delta)")
+    parser.add_argument("--delta", type=_delta, default=DEFAULT_DELTA,
+                        help=f"uniform utilization factor, >= 1 (default {DEFAULT_DELTA})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,29 +215,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimize", help="solve one assignment and write reports")
-    _add_common_inputs(p, with_policy=True)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                   help=f"uniform utilization factor, >= 1 (default {DEFAULT_DELTA})")
+    _add_inputs(p)
+    _add_report_flags(p)
+    _add_factor_flags(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("sweep", help="solve one case per utilization factor")
-    _add_common_inputs(p, with_policy=False)
-    p.add_argument("--sweep", default=DEFAULT_SWEEP_SPEC, metavar="START:END:STEP",
+    _add_inputs(p)
+    _add_report_flags(p)
+    p.add_argument("--sweep", type=parse_sweep_spec, default=DEFAULT_SWEEP_SPEC,
+                   metavar="START:END:STEP",
                    help=f"factor range (default {DEFAULT_SWEEP_SPEC}, 31 cases)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-ampl", help="write the model/data files for an external solver")
-    _add_common_inputs(p, with_policy=True)
-    p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                   help=f"uniform utilization factor, >= 1 (default {DEFAULT_DELTA})")
+    _add_inputs(p)
+    _add_factor_flags(p)
     p.set_defaults(func=cmd_export_ampl)
 
     p = sub.add_parser("synth", help="generate deterministic synthetic metrics and bindings")
     p.add_argument("--catalog", required=True, help="catalog CSV path")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=8, help="number of workloads")
-    p.add_argument("--samples", type=int, default=24, help="samples per series")
+    p.add_argument("--count", type=_count, default=8, help="number of workloads")
+    p.add_argument("--samples", type=_samples, default=24, help="samples per series")
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -266,10 +249,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except RightsizerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (RightsizerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

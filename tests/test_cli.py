@@ -271,6 +271,14 @@ def test_export_ampl_empty_catalog_is_input_error(inputs, tmp_path):
     assert run(inputs, "export-ampl", "--out", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("flag", [["--format", "json"], ["--hours-per-year", "8760"]])
+def test_export_ampl_refuses_report_flags(inputs, tmp_path, capsys, flag):
+    # export-ampl writes no report, so a report flag is a usage error, not ignored
+    assert run(inputs, "export-ampl", *flag, "--out", str(tmp_path / "out")) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- synth --------------------------------------------------------------------------
 
 def test_synth_same_seed_same_files(tmp_path):
