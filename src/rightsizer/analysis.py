@@ -1,11 +1,12 @@
 """Post-solve analyses: cost projection, headroom sweep, utilization, consolidation.
 
-Annual figures are hourly figures times a configurable hours-per-year
-(8760 by default). The sweep builds one model per utilization factor and
-solves them in ascending order in one pass, each row resuming its
-cheapest-first scan where the previous factor left it, and brackets the
-break-even point where the optimized fleet's projected annual cost first
-exceeds the baseline.
+Hourly totals are summed with math.fsum, so they do not depend on the
+order of the fleet. Annual figures are hourly figures times a configurable
+hours-per-year (8760 by default). The sweep builds one model per
+utilization factor and solves them in ascending order in one pass, each row
+resuming its cheapest-first scan where the previous factor left it, and
+brackets the break-even point where the optimized fleet's projected annual
+cost first exceeds the baseline.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ def _check_coverage(fleet: Fleet, solution: AssignmentSolution) -> None:
             f"solution covers rows {sorted(solution.assignment)}, fleet has rows 1..{len(fleet.workloads)}")
 
 
+def _baseline_hourly(fleet: Fleet, catalog: Catalog) -> float:
+    return math.fsum(catalog.lookup(w.current_type).hourly_cost for w in fleet.workloads)
+
+
 @dataclass(frozen=True)
 class WorkloadCost:
     id: str
@@ -66,15 +71,13 @@ def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
     """Hourly and projected annual cost of the current fleet versus its assignment."""
     _check_coverage(fleet, solution)
     per_workload = []
-    baseline_hourly = 0.0
-    target_hourly = 0.0
     for i, w in enumerate(fleet.workloads, start=1):
         source = catalog.lookup(w.current_type).hourly_cost
         target = catalog.entries[solution.assignment[i] - 1]
         per_workload.append(WorkloadCost(
             w.id, source, target.hourly_cost, target.hourly_cost - source))
-        baseline_hourly += source
-        target_hourly += target.hourly_cost
+    baseline_hourly = _baseline_hourly(fleet, catalog)
+    target_hourly = math.fsum(c.target_hourly for c in per_workload)
     baseline_annual = baseline_hourly * hours_per_year
     target_annual = target_hourly * hours_per_year
     return CostReport(
@@ -138,9 +141,7 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
         if not b > a:
             raise InvalidDeltasError(f"factors must be strictly increasing, got {a} then {b}")
 
-    baseline_hourly = 0.0
-    for w in fleet.workloads:
-        baseline_hourly += catalog.lookup(w.current_type).hourly_cost
+    baseline_hourly = _baseline_hourly(fleet, catalog)
     baseline_annual = baseline_hourly * hours_per_year
 
     cases = []

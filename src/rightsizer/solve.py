@@ -12,6 +12,7 @@ candidate assignments wholesale, which makes it a usable oracle for both.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,12 +21,11 @@ from .errors import BudgetExceededError
 from .model import AssignmentModel
 
 DEFAULT_BRUTEFORCE_BUDGET = 1_000_000
-COST_ABS_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class AssignmentSolution:
-    """Chosen column per row (both 1-based) and the summed hourly cost."""
+    """Chosen column per row (both 1-based) and the hourly cost, summed with math.fsum."""
 
     assignment: dict[int, int]
     total_hourly_cost: float
@@ -93,7 +93,6 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
             last_cpu, last_mem = cpu, mem
         assignment: dict[int, int] = {}
         missing: list[InfeasibleRow] = []
-        total = 0.0  # summed in row order, as solve_bruteforce does
         for i, w in enumerate(model.fleet.workloads):
             k = start[i] if cpu[i] >= last_cpu[i] and mem[i] >= last_mem[i] else 0
             while k < n and not model.fits(i, by_preference[k]):
@@ -103,9 +102,12 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
                 missing.append(InfeasibleRow(i + 1, w.id, cpu[i], mem[i]))
             else:
                 assignment[i + 1] = by_preference[k] + 1
-                total += model.cost[by_preference[k]]
         last_cpu, last_mem = cpu, mem
-        yield Infeasible(tuple(missing)) if missing else AssignmentSolution(assignment, total)
+        if missing:
+            yield Infeasible(tuple(missing))
+        else:
+            total = math.fsum(model.cost[j - 1] for j in assignment.values())
+            yield AssignmentSolution(assignment, total)
 
 
 def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
@@ -136,21 +138,17 @@ def solve_bruteforce(model: AssignmentModel,
     best_combo: tuple[int, ...] | None = None
     best_order: tuple | None = None
     for combo in itertools.product(range(n), repeat=m):
-        total = 0.0
-        for i in range(m):
-            j = combo[i]
-            if not feasible[i][j]:
-                break
-            total += cost[j]
-        else:
-            if best_total is None or total < best_total:
-                best_total, best_combo, best_order = total, combo, None
-            elif total == best_total:
-                candidate_order = tuple(order[j] for j in combo)
-                if best_order is None:
-                    best_order = tuple(order[j] for j in best_combo)
-                if candidate_order < best_order:
-                    best_combo, best_order = combo, candidate_order
+        if not all(feasible[i][j] for i, j in enumerate(combo)):
+            continue
+        total = math.fsum(cost[j] for j in combo)
+        if best_total is None or total < best_total:
+            best_total, best_combo, best_order = total, combo, None
+        elif total == best_total:
+            candidate_order = tuple(order[j] for j in combo)
+            if best_order is None:
+                best_order = tuple(order[j] for j in best_combo)
+            if candidate_order < best_order:
+                best_combo, best_order = combo, candidate_order
     if best_combo is None:
         return Infeasible(tuple(_infeasible_rows(model)))
     return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best_combo)}, best_total)
@@ -160,8 +158,8 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
     """Re-check coverage, capacity feasibility, and the reported total.
 
     Returns an empty list exactly when every row is assigned one in-range
-    column, every assigned cell is feasible, and the reported total matches a
-    recomputed total within 1e-9 absolute. Violations are data, not errors.
+    column, every assigned cell is feasible, and the reported total equals the
+    math.fsum of the assigned costs. Violations are data, not errors.
     """
     violations: list[Violation] = []
     m, n = model.row_count, model.column_count
@@ -169,7 +167,6 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
         if i not in solution.assignment:
             violations.append(Violation("CoverageViolation", i, f"row {i} has no assigned column"))
     coverage_ok = not violations
-    recomputed = 0.0
     for i in sorted(solution.assignment):
         j = solution.assignment[i]
         if not 1 <= i <= m or not 1 <= j <= n:
@@ -184,9 +181,10 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
                 "CapacityViolation", i,
                 f"{w.id!r} needs {model.scaled_cpu[i - 1]:.6g} ECU / {model.scaled_mem[i - 1]:.6g} GiB "
                 f"but {e.key!r} supplies {e.cpu_capacity:.6g} / {e.mem_capacity:.6g}"))
-        recomputed += model.cost[j - 1]
-    if coverage_ok and abs(recomputed - solution.total_hourly_cost) > COST_ABS_TOLERANCE:
-        violations.append(Violation(
-            "CostMismatch", None,
-            f"reported {solution.total_hourly_cost!r}, recomputed {recomputed!r}"))
+    if coverage_ok:
+        recomputed = math.fsum(model.cost[j - 1] for j in solution.assignment.values())
+        if recomputed != solution.total_hourly_cost:
+            violations.append(Violation(
+                "CostMismatch", None,
+                f"reported {solution.total_hourly_cost!r}, recomputed {recomputed!r}"))
     return violations

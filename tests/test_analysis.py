@@ -78,6 +78,18 @@ def test_project_costs_rejects_partial_solution():
         project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 1}, 21.09))
 
 
+def test_totals_do_not_depend_on_fleet_order():
+    # the same five prices billed in another order; a running += sum of the
+    # target order gives 1.3000000000000003 against a baseline of 1.3
+    catalog = abc_catalog()
+    fleet = Fleet(tuple(WorkloadProfile(f"w{i}", catalog.entries[j - 1].key, 0.5, 0.5)
+                        for i, j in enumerate((1, 2, 3, 3, 2), start=1)))
+    solution = AssignmentSolution(dict(enumerate((2, 2, 3, 3, 1), start=1)), 1.3)
+    report = project_costs(fleet, catalog, solution)
+    assert report.baseline_hourly == report.target_hourly == 1.3
+    assert report.savings_fraction == 0.0
+
+
 # --- sweep -------------------------------------------------------------------
 
 def sweep_catalog():
