@@ -36,11 +36,15 @@ def default_sweep_deltas() -> tuple[float, ...]:
     return tuple(round(1.0 + k * 0.1, 10) for k in range(31))
 
 
-def _check_coverage(fleet: Fleet, solution: AssignmentSolution) -> None:
+def _check_coverage(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution) -> None:
     expected = set(range(1, len(fleet.workloads) + 1))
     if set(solution.assignment) != expected:
         raise RowMismatchError(
             f"solution covers rows {sorted(solution.assignment)}, fleet has rows 1..{len(fleet.workloads)}")
+    n = len(catalog.entries)
+    for i, j in sorted(solution.assignment.items()):
+        if not 1 <= j <= n:
+            raise RowMismatchError(f"row {i} is assigned column {j}, catalog has columns 1..{n}")
 
 
 def _baseline_hourly(fleet: Fleet, catalog: Catalog) -> float:
@@ -69,7 +73,7 @@ class CostReport:
 def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
                   hours_per_year: int = HOURS_PER_YEAR) -> CostReport:
     """Hourly and projected annual cost of the current fleet versus its assignment."""
-    _check_coverage(fleet, solution)
+    _check_coverage(fleet, catalog, solution)
     per_workload = []
     for i, w in enumerate(fleet.workloads, start=1):
         source = catalog.lookup(w.current_type).hourly_cost
@@ -235,7 +239,7 @@ def _safe_t_test(a: list[float], b: list[float]) -> TTestResult | None:
 def utilization_report(fleet: Fleet, catalog: Catalog,
                        solution: AssignmentSolution) -> UtilizationReport:
     """Demand/capacity fractions before and after reassignment, with t-tests."""
-    _check_coverage(fleet, solution)
+    _check_coverage(fleet, catalog, solution)
     rows = []
     for i, w in enumerate(fleet.workloads, start=1):
         current = catalog.lookup(w.current_type)
@@ -283,7 +287,7 @@ def consolidation_report(fleet: Fleet, catalog: Catalog,
     Edge counts over all edges sum to the fleet size; edges are sorted by
     (source_type, target_type) for stable output.
     """
-    _check_coverage(fleet, solution)
+    _check_coverage(fleet, catalog, solution)
     edges: Counter[tuple[str, str]] = Counter()
     sources: set[str] = set()
     targets: set[str] = set()

@@ -68,7 +68,7 @@ class BudgetExceededError(RightsizerError):
 
 
 class RowMismatchError(RightsizerError):
-    """A solution does not cover exactly the fleet's rows."""
+    """A solution does not cover exactly the fleet's rows, or names a column outside the catalog."""
 
 
 class InvalidDeltasError(RightsizerError):

@@ -90,6 +90,17 @@ def test_totals_do_not_depend_on_fleet_order():
     assert report.savings_fraction == 0.0
 
 
+@pytest.mark.parametrize("analysis", [project_costs, utilization_report, consolidation_report])
+@pytest.mark.parametrize("column", [0, -1, 4])
+def test_analyses_reject_out_of_range_column(analysis, column):
+    # abc_catalog has columns 1..3; column 0 or -1 must not wrap to the last type
+    catalog = abc_catalog()
+    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.0, 2.0),
+                   WorkloadProfile("w2", "lin.a.small.r1", 1.0, 2.0)))
+    with pytest.raises(RowMismatchError, match=f"row 2 is assigned column {column}"):
+        analysis(fleet, catalog, AssignmentSolution({1: 1, 2: column}, 0.2))
+
+
 # --- sweep -------------------------------------------------------------------
 
 def sweep_catalog():
