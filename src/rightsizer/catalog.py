@@ -7,11 +7,10 @@ fixes the column order of every matrix built from it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._csvio import iter_rows
+from ._csvio import iter_rows, number
 from .errors import (
     DuplicateKeyError,
     MalformedRowError,
@@ -84,23 +83,11 @@ def load_catalog(source) -> Catalog:
     """
     entries: list[InstanceType] = []
     seen: set[str] = set()
-    last_line = 1
-    for line_no, row in iter_rows(source, CATALOG_HEADER):
-        last_line = line_no
-        key = row[0]
+    for line_no, (key, *fields) in iter_rows(source, CATALOG_HEADER):
         if not _valid_key(key):
             raise MalformedRowError(
                 line_no, f"key {key!r} must have at least {MIN_KEY_SEGMENTS} non-empty dot-separated segments")
-        values = []
-        for name, text in zip(CATALOG_HEADER[1:], row[1:]):
-            try:
-                value = float(text)
-            except ValueError:
-                raise MalformedRowError(line_no, f"{name} {text!r} is not a number") from None
-            if not math.isfinite(value):
-                raise MalformedRowError(line_no, f"{name} {text!r} is not finite")
-            values.append(value)
-        cpu, mem, cost = values
+        cpu, mem, cost = (number(line_no, name, text) for name, text in zip(CATALOG_HEADER[1:], fields))
         if cpu <= 0 or mem <= 0 or cost <= 0:
             raise NonPositiveCapacityError(line_no, f"{key!r}: capacities and cost must be positive")
         if key in seen:
@@ -108,7 +95,7 @@ def load_catalog(source) -> Catalog:
         seen.add(key)
         entries.append(InstanceType(key, cpu, mem, cost))
     if not entries:
-        raise MalformedRowError(last_line, "catalog has no data rows")
+        raise MalformedRowError(1, "catalog has no data rows")
     return Catalog(tuple(entries))
 
 

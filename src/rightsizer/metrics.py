@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from ._csvio import column_count_error, data_reader, iter_rows
+from ._csvio import iter_rows
 from .catalog import Catalog
 from .errors import (
     DuplicateKeyError,
@@ -166,29 +166,22 @@ def ingest_metrics(source) -> IngestedMetrics:
     timestamp) rows are rejected with the offending line number.
     """
     grouped: IngestedMetrics = {}
-    reader = data_reader(source, METRICS_HEADER)
-    for row in reader:
-        try:
-            workload_id, ts_text, metric_text, value_text = row
-        except ValueError:
-            raise column_count_error(reader.line_num, METRICS_HEADER, row) from None
+    for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
         if not workload_id:
-            raise MalformedRowError(reader.line_num, "empty workload_id")
+            raise MalformedRowError(line_no, "empty workload_id")
         try:
             timestamp = int(ts_text)
         except ValueError:
-            raise MalformedRowError(
-                reader.line_num, f"timestamp {ts_text!r} is not an integer") from None
+            raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
         metric = _METRIC_BY_NAME.get(metric_text)
         if metric is None:
-            raise MalformedRowError(
-                reader.line_num, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
+            raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
         try:
             value = float(value_text)
         except ValueError:
-            raise MalformedRowError(reader.line_num, f"value {value_text!r} is not a number") from None
+            raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
         if not 0.0 <= value <= 100.0:
-            raise ValueOutOfRangeError(reader.line_num, f"value {value_text} outside [0, 100]")
+            raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
         by_metric = grouped.get(workload_id)
         if by_metric is None:
             by_metric = grouped[workload_id] = {}
@@ -197,8 +190,7 @@ def ingest_metrics(source) -> IngestedMetrics:
             series = by_metric[metric] = SeriesAccumulator()
         if timestamp in series.timestamps:
             raise DuplicateSampleError(
-                reader.line_num,
-                f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
+                line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
         series.timestamps.add(timestamp)
         series.add(value)
     if not grouped:
@@ -209,8 +201,7 @@ def ingest_metrics(source) -> IngestedMetrics:
 def load_bindings(source) -> dict[str, str]:
     """Parse bindings CSV (``workload_id,current_type``), preserving row order."""
     bindings: dict[str, str] = {}
-    for line_no, row in iter_rows(source, BINDINGS_HEADER):
-        workload_id, current_type = row
+    for line_no, (workload_id, current_type) in iter_rows(source, BINDINGS_HEADER):
         if not workload_id or not current_type:
             raise MalformedRowError(line_no, "empty field")
         if workload_id in bindings:

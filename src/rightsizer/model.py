@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from ._csvio import iter_rows
+from ._csvio import iter_rows, number
 from .catalog import Catalog
 from .errors import (
     DuplicateKeyError,
     IndexOutOfRangeError,
     InvalidPolicyError,
-    MalformedRowError,
     UnknownTypeError,
 )
 from .metrics import Fleet
@@ -61,14 +60,8 @@ class UtilizationPolicy:
 def load_policy(source, default: float) -> UtilizationPolicy:
     """Parse per-workload factor CSV (``workload_id,delta``) over a default."""
     factors: dict[str, float] = {}
-    for line_no, row in iter_rows(source, POLICY_HEADER):
-        workload_id, delta_text = row
-        try:
-            delta = float(delta_text)
-        except ValueError:
-            raise MalformedRowError(line_no, f"delta {delta_text!r} is not a number") from None
-        if not math.isfinite(delta):
-            raise MalformedRowError(line_no, f"delta {delta_text!r} is not finite")
+    for line_no, (workload_id, delta_text) in iter_rows(source, POLICY_HEADER):
+        delta = number(line_no, "delta", delta_text)
         if not delta >= 1.0:
             raise InvalidPolicyError(f"line {line_no}: utilization factor {delta} for {workload_id!r} is < 1")
         if workload_id in factors:

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 from dataclasses import dataclass
-from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Sequence
 
@@ -30,21 +29,14 @@ from .metrics import Fleet
 from .solve import AssignmentSolution, Infeasible
 
 
-def _plain(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+def _fields(value) -> dict[str, Any]:
+    # json's hook for what it cannot encode itself: a report dataclass becomes its fields
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 def to_json(payload) -> str:
     """Deterministic JSON rendering of a report dataclass or plain structure."""
-    return json.dumps(_plain(payload), indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=_fields) + "\n"
 
 
 @dataclass(frozen=True)

@@ -60,14 +60,6 @@ def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ..
     return tuple((e.hourly_cost, e.cpu_capacity, e.mem_capacity, e.key) for e in catalog.entries)
 
 
-def _infeasible_rows(model: AssignmentModel) -> list[InfeasibleRow]:
-    rows = []
-    for i, w in enumerate(model.fleet.workloads):
-        if not any(model.fits(i, j) for j in range(model.column_count)):
-            rows.append(InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i]))
-    return rows
-
-
 def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSolution | Infeasible]:
     """Solve each model in turn; yield for each exactly what solving it alone gives.
 
@@ -120,38 +112,27 @@ def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
 
 def solve_bruteforce(model: AssignmentModel,
                      budget: int = DEFAULT_BRUTEFORCE_BUDGET) -> AssignmentSolution | Infeasible:
-    """Enumerate every column choice per row and keep the best feasible one.
+    """Enumerate every combination of fitting columns and keep the best one.
 
     Raises BudgetExceededError when N^M candidate assignments exceed the
-    budget. Ties are broken by comparing the per-row column order tuples in
-    row order, which matches the per-row first fit of solve_ascending.
+    budget. The best is the least by (total, per-row column order tuples in
+    row order), so the enumeration order cannot change it, and the tie-break
+    matches the per-row first fit of solve_ascending.
     """
     m, n = model.row_count, model.column_count
     candidates = n ** m
     if candidates > budget:
         raise BudgetExceededError(f"{n}^{m} = {candidates} candidate assignments exceed budget {budget}")
-    feasible = model.feasible
+    allowed = [[j for j in range(n) if model.fits(i, j)] for i in range(m)]
+    missing = [InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i])
+               for i, w in enumerate(model.fleet.workloads) if not allowed[i]]
+    if missing:
+        return Infeasible(tuple(missing))
     cost = model.cost
     order = _column_order(model.catalog)
-
-    best_total: float | None = None
-    best_combo: tuple[int, ...] | None = None
-    best_order: tuple | None = None
-    for combo in itertools.product(range(n), repeat=m):
-        if not all(feasible[i][j] for i, j in enumerate(combo)):
-            continue
-        total = math.fsum(cost[j] for j in combo)
-        if best_total is None or total < best_total:
-            best_total, best_combo, best_order = total, combo, None
-        elif total == best_total:
-            candidate_order = tuple(order[j] for j in combo)
-            if best_order is None:
-                best_order = tuple(order[j] for j in best_combo)
-            if candidate_order < best_order:
-                best_combo, best_order = combo, candidate_order
-    if best_combo is None:
-        return Infeasible(tuple(_infeasible_rows(model)))
-    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best_combo)}, best_total)
+    best = min(itertools.product(*allowed),
+               key=lambda combo: (math.fsum(cost[j] for j in combo), tuple(order[j] for j in combo)))
+    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best)}, math.fsum(cost[j] for j in best))
 
 
 def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> list[Violation]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from rightsizer.analysis import default_sweep_deltas
 from rightsizer.errors import ConfigError
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 CATALOG = """key,cpu_ecu,mem_gib,cost_per_hour
 lin.a.small.r1,2.0,4.0,0.10
@@ -102,6 +106,20 @@ def test_optimize_missing_file_is_input_error(inputs, tmp_path):
         "--out", str(tmp_path / "out"),
     ])
     assert code == 1
+
+
+def test_optimize_bad_byte_in_metrics_exits_one_with_its_line(inputs, tmp_path):
+    lines = METRICS.encode().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    (inputs / "metrics.csv").write_bytes(b"\n".join(lines))
+    done = subprocess.run(
+        [sys.executable, "-m", "rightsizer.cli", "optimize",
+         "--catalog", str(inputs / "catalog.csv"), "--metrics", str(inputs / "metrics.csv"),
+         "--bindings", str(inputs / "bindings.csv"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: line 3:")
+    assert "Traceback" not in done.stderr
 
 
 def test_optimize_text_format(inputs, tmp_path):
