@@ -5,10 +5,16 @@ raises MalformedRowError naming the 1-based physical line:
 - the source is UTF-8 bytes (or a binary stream), with an optional BOM;
   a text stream is taken as already decoded;
 - lines end in LF or CRLF, and the syntax is the csv module's default dialect;
+- no field spans lines: a quoted field must close on the line it opens on;
 - the first row equals the loader's header exactly;
 - every data row has as many columns as the header;
 - a numeric field read through `number` is a finite float.
 Loaders check only their own rules on the rows they are given.
+
+The file is read one line at a time and each line is decoded on its own, so
+reading holds a line in memory, not the file. Errors are therefore raised
+in file order: the first bad line wins, whether its fault is a byte that is
+not UTF-8, CSV syntax, the row's shape or a loader's own rule.
 """
 
 from __future__ import annotations
@@ -16,27 +22,37 @@ from __future__ import annotations
 import csv
 import io
 import math
+from codecs import BOM_UTF8
+from itertools import chain
 from typing import Iterator
 
 from .errors import MalformedRowError
 
 
-def _text(source) -> str:
-    data = source if isinstance(source, (bytes, bytearray)) else source.read()
-    if not isinstance(data, str):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRowError(data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
-    return data.removeprefix("\ufeff")
+def _lines(source) -> Iterator[str]:
+    """The text of each physical line of `source`, BOM removed.
+
+    Bytes are split on LF only and decoded as UTF-8 one line at a time, as
+    the line is reached, so a line that is not UTF-8 raises
+    UnicodeDecodeError once every line before it has been read. A text
+    stream is iterated as given.
+    """
+    lines = iter(io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source)
+    first = next(lines, None)
+    if first is None:
+        return iter(())
+    if isinstance(first, str):
+        return chain((first.removeprefix("\ufeff"),), lines)
+    return map(bytes.decode, chain((first.removeprefix(BOM_UTF8),), lines))
 
 
 def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, row) for each data row after the header.
 
-    The line number is the physical line on which the row ends.
+    Rows are read lazily: no line after a row's own is decoded or parsed
+    before the row is yielded.
     """
-    reader = csv.reader(io.StringIO(_text(source)))
+    reader = csv.reader(_lines(source))
     try:
         first = next(reader, None)
         if first is None:
@@ -44,13 +60,19 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
         if first != list(header):
             raise MalformedRowError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
         width = len(header)
-        for row in reader:
+        # every earlier row took one line, so row k began on line k
+        for line_no, row in enumerate(reader, 2):
+            if reader.line_num != line_no:
+                raise MalformedRowError(line_no, "quoted field runs past the end of its line")
             if len(row) != width:
-                raise MalformedRowError(reader.line_num, f"expected {width} columns, got {len(row)}")
+                raise MalformedRowError(line_no, f"expected {width} columns, got {len(row)}")
             # a loader's own errors are raised in its frame, not here, so only csv.Error is caught
-            yield reader.line_num, row
+            yield line_no, row
     except csv.Error as exc:
         raise MalformedRowError(reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        # the reader counts the lines it has been given, and this one it was not
+        raise MalformedRowError(reader.line_num + 1, "not valid UTF-8") from None
 
 
 def number(line: int, name: str, text: str) -> float:

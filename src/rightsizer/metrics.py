@@ -8,6 +8,8 @@ capacity of the instance type it currently runs on.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -78,18 +80,41 @@ class SeriesAccumulator:
     among them. `total` and `total_sq` hold the sum and the sum of squares of
     those integers as Python ints, so mean and variance are exact rationals
     however many samples arrive. A value with a larger denominator moves the
-    sums onto its finer grid first. `timestamps` holds the sample times seen
-    during ingest, for duplicate detection.
+    sums onto its finer grid first.
+
+    The sample times seen during ingest are kept for duplicate detection.
+    `timestamps` is a sorted `array('q')`, 8 bytes per sample, which holds
+    every time of a series written in time order. The set `extra_timestamps`
+    holds the rest: times outside int64, and out-of-order times that would
+    shift more than `_MAX_INSERT_SHIFT` later times of the array.
     """
 
-    __slots__ = ("count", "total", "total_sq", "unit", "timestamps")
+    __slots__ = ("count", "total", "total_sq", "unit", "timestamps", "extra_timestamps")
 
     def __init__(self):
         self.count = 0
         self.total = 0
         self.total_sq = 0
         self.unit = 1
-        self.timestamps: set[int] = set()
+        self.timestamps = array("q")
+        self.extra_timestamps: set[int] = set()
+
+    def add_timestamp(self, timestamp: int) -> bool:
+        """Record a sample time; False if the series already has it.
+
+        `ingest_metrics` appends an int64 time later than the last one itself,
+        so this runs for times out of order or outside int64. It never changes
+        the array's last time.
+        """
+        stamps, extra = self.timestamps, self.extra_timestamps
+        i = bisect_left(stamps, timestamp)
+        if i < len(stamps) and stamps[i] == timestamp or timestamp in extra:
+            return False
+        if len(stamps) - i <= _MAX_INSERT_SHIFT and _INT64_MIN <= timestamp <= _INT64_MAX:
+            stamps.insert(i, timestamp)
+        else:
+            extra.add(timestamp)
+        return True
 
     def add(self, value: float) -> None:
         numerator, denominator = value.as_integer_ratio()
@@ -152,6 +177,12 @@ def _sqrt_of_ratio(p: int, q: int) -> float:
     return math.ldexp(root, -e)  # exact: root <= 2**53 on a grid no finer than 2**-1074
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# An insert moves every later time of the array. Past this many (8 KiB) the
+# move costs about as much as parsing the row, and a series written backwards
+# would make ingest quadratic in its length, so such a time goes to the set.
+_MAX_INSERT_SHIFT = 1024
+
 IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 
 _METRIC_BY_NAME = {m.value: m for m in Metric}
@@ -161,11 +192,15 @@ def ingest_metrics(source) -> IngestedMetrics:
     """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
 
     Each row feeds the exact accumulator of its (workload, metric) series;
-    no per-row objects are kept. Workloads keep their order of first
-    appearance. Values outside [0, 100] and duplicate (workload, metric,
-    timestamp) rows are rejected with the offending line number.
+    no per-row objects are kept, only each sample's timestamp at 8 bytes.
+    Workloads keep their order of first appearance. Values outside [0, 100]
+    and duplicate (workload, metric, timestamp) rows are rejected with the
+    offending line number.
     """
     grouped: IngestedMetrics = {}
+    # Rows of one series usually arrive together and in time order, so the
+    # current series and its last time stay in locals until the key changes.
+    run_id = run_metric = None
     for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
         if not workload_id:
             raise MalformedRowError(line_no, "empty workload_id")
@@ -182,17 +217,24 @@ def ingest_metrics(source) -> IngestedMetrics:
             raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
         if not 0.0 <= value <= 100.0:
             raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
-        by_metric = grouped.get(workload_id)
-        if by_metric is None:
-            by_metric = grouped[workload_id] = {}
-        series = by_metric.get(metric)
-        if series is None:
-            series = by_metric[metric] = SeriesAccumulator()
-        if timestamp in series.timestamps:
+        if workload_id != run_id or metric is not run_metric:
+            by_metric = grouped.get(workload_id)
+            if by_metric is None:
+                by_metric = grouped[workload_id] = {}
+            series = by_metric.get(metric)
+            if series is None:
+                series = by_metric[metric] = SeriesAccumulator()
+            run_id, run_metric = workload_id, metric
+            stamps = series.timestamps
+            last = stamps[-1] if stamps else _INT64_MIN - 1
+            append, add = stamps.append, series.add
+        if last < timestamp <= _INT64_MAX:
+            append(timestamp)
+            last = timestamp
+        elif not series.add_timestamp(timestamp):
             raise DuplicateSampleError(
                 line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-        series.timestamps.add(timestamp)
-        series.add(value)
+        add(value)
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped

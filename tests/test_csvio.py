@@ -5,6 +5,7 @@ import io
 import pytest
 
 from rightsizer import ingest_metrics, load_bindings, load_catalog, load_policy
+from rightsizer._csvio import iter_rows
 from rightsizer.errors import MalformedRowError
 
 
@@ -57,3 +58,49 @@ def test_bad_bytes_on_line_3_name_the_line(loader, prefix):
 def test_every_form_of_a_file_loads_the_same(loader, variant):
     load, valid = LOADERS[loader]
     assert load(variant(valid)) == load(valid)
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("broken", [
+    # an unterminated quote, which would swallow line 3 into one field
+    lambda line: b'"' + line,
+    # a quoted first field that closes on line 3 and leaves the column count right
+    lambda line: b'"' + line[:1] + b"\n" + line[1:].replace(b",", b'",', 1),
+], ids=["unterminated", "closes-on-next-line"])
+def test_a_field_spanning_lines_names_the_line_it_began_on(loader, broken):
+    load, valid = LOADERS[loader]
+    lines = valid.split(b"\n")
+    lines[1] = broken(lines[1])
+    with pytest.raises(MalformedRowError) as exc:
+        load(b"\n".join(lines))
+    assert str(exc.value) == "line 2: quoted field runs past the end of its line"
+
+
+def long_bindings(rows: int) -> bytes:
+    return b"workload_id,current_type\n" + b"".join(b"w%d,lin.a.small.r1\n" % k for k in range(rows))
+
+
+def test_rows_are_read_lazily():
+    stream = io.BytesIO(long_bindings(10_000))
+    rows = iter_rows(stream, ("workload_id", "current_type"))
+    assert next(rows) == (2, ["w0", "lin.a.small.r1"])
+    assert stream.tell() < len(stream.getvalue()) // 100
+
+
+def test_a_bad_byte_on_the_last_line_of_a_long_file_names_that_line():
+    data = long_bindings(10_000) + b"w\xff,lin.a.small.r1\n"
+    with pytest.raises(MalformedRowError) as exc:
+        load_bindings(io.BytesIO(data))
+    assert str(exc.value) == "line 10002: not valid UTF-8"
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_the_first_bad_line_in_the_file_wins(loader):
+    # Lines are decoded as they are read, so a malformed row on line 2 is
+    # reported before a byte that is not UTF-8 on line 5.
+    load, valid = LOADERS[loader]
+    header, line_2 = valid.split(b"\n")[:2]
+    data = b"\n".join([header, line_2 + b",extra", b"x", b"x", b"\xff", b""])
+    with pytest.raises(MalformedRowError) as exc:
+        load(data)
+    assert str(exc.value).startswith("line 2: expected ")
