@@ -15,6 +15,11 @@ The file is read one line at a time and each line is decoded on its own, so
 reading holds a line in memory, not the file. Errors are therefore raised
 in file order: the first bad line wins, whether its fault is a byte that is
 not UTF-8, CSV syntax, the row's shape or a loader's own rule.
+
+A text stream decodes ahead in blocks of its own size, so when one fails to
+decode, the line named is the first line it had not yet given, which may
+come before the line that holds the bad byte. Only bytes and binary streams
+name that line exactly.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
     Rows are read lazily: no line after a row's own is decoded or parsed
     before the row is yielded.
     """
-    reader = csv.reader(_lines(source))
+    reader = None
     try:
+        reader = csv.reader(_lines(source))
         first = next(reader, None)
         if first is None:
             raise MalformedRowError(1, f"missing header {','.join(header)!r}")
@@ -72,7 +78,8 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
         raise MalformedRowError(reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         # the reader counts the lines it has been given, and this one it was not
-        raise MalformedRowError(reader.line_num + 1, "not valid UTF-8") from None
+        # (a text stream can fail on its first line, before the reader exists)
+        raise MalformedRowError(reader.line_num + 1 if reader else 1, "not valid UTF-8") from None
 
 
 def number(line: int, name: str, text: str) -> float:

@@ -83,10 +83,11 @@ class SeriesAccumulator:
     sums onto its finer grid first.
 
     The sample times seen during ingest are kept for duplicate detection.
-    `timestamps` is a sorted `array('q')`, 8 bytes per sample, which holds
-    every time of a series written in time order. The set `extra_timestamps`
-    holds the rest: times outside int64, and out-of-order times that would
-    shift more than `_MAX_INSERT_SHIFT` later times of the array.
+    `timestamps` is an `array('q')`, 8 bytes per sample, of every int64 time
+    later than all times before it, so it is sorted and holds every time of a
+    series written in time order. The set `extra_timestamps` holds the rest:
+    times out of order and times outside int64. Every int64 time in the set
+    is below the array's last time.
     """
 
     __slots__ = ("count", "total", "total_sq", "unit", "timestamps", "extra_timestamps")
@@ -100,20 +101,15 @@ class SeriesAccumulator:
         self.extra_timestamps: set[int] = set()
 
     def add_timestamp(self, timestamp: int) -> bool:
-        """Record a sample time; False if the series already has it.
-
-        `ingest_metrics` appends an int64 time later than the last one itself,
-        so this runs for times out of order or outside int64. It never changes
-        the array's last time.
-        """
-        stamps, extra = self.timestamps, self.extra_timestamps
+        """Record a sample time; False if the series already has it."""
+        stamps = self.timestamps
+        if (not stamps or stamps[-1] < timestamp) and _INT64_MIN <= timestamp <= _INT64_MAX:
+            stamps.append(timestamp)
+            return True
         i = bisect_left(stamps, timestamp)
-        if i < len(stamps) and stamps[i] == timestamp or timestamp in extra:
+        if i < len(stamps) and stamps[i] == timestamp or timestamp in self.extra_timestamps:
             return False
-        if len(stamps) - i <= _MAX_INSERT_SHIFT and _INT64_MIN <= timestamp <= _INT64_MAX:
-            stamps.insert(i, timestamp)
-        else:
-            extra.add(timestamp)
+        self.extra_timestamps.add(timestamp)
         return True
 
     def add(self, value: float) -> None:
@@ -178,10 +174,6 @@ def _sqrt_of_ratio(p: int, q: int) -> float:
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-# An insert moves every later time of the array. Past this many (8 KiB) the
-# move costs about as much as parsing the row, and a series written backwards
-# would make ingest quadratic in its length, so such a time goes to the set.
-_MAX_INSERT_SHIFT = 1024
 
 IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 
@@ -198,8 +190,11 @@ def ingest_metrics(source) -> IngestedMetrics:
     offending line number.
     """
     grouped: IngestedMetrics = {}
-    # Rows of one series usually arrive together and in time order, so the
-    # current series and its last time stay in locals until the key changes.
+    # While consecutive rows share a series, its last time stays in a local and
+    # the append branch of `add_timestamp` runs inline, so a series whose rows
+    # arrive together and in time order touches the dicts once. Rows sorted
+    # by time across series change the key on every row and pay both lookups
+    # and a read of the array's last time on each.
     run_id = run_metric = None
     for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
         if not workload_id:
@@ -227,14 +222,13 @@ def ingest_metrics(source) -> IngestedMetrics:
             run_id, run_metric = workload_id, metric
             stamps = series.timestamps
             last = stamps[-1] if stamps else _INT64_MIN - 1
-            append, add = stamps.append, series.add
         if last < timestamp <= _INT64_MAX:
-            append(timestamp)
+            stamps.append(timestamp)
             last = timestamp
         elif not series.add_timestamp(timestamp):
             raise DuplicateSampleError(
                 line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-        add(value)
+        series.add(value)
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped

@@ -104,3 +104,13 @@ def test_the_first_bad_line_in_the_file_wins(loader):
     with pytest.raises(MalformedRowError) as exc:
         load(data)
     assert str(exc.value).startswith("line 2: expected ")
+
+
+def test_a_text_stream_that_fails_to_decode_names_a_line_at_or_before_the_bad_byte():
+    # the wrapper decodes its first block before the first line is given,
+    # so the whole file fails on the first read
+    stream = io.TextIOWrapper(io.BytesIO(long_bindings(3) + b"w\xff,lin.a.small.r1\n"), encoding="utf-8")
+    with pytest.raises(MalformedRowError) as exc:
+        load_bindings(stream)
+    assert exc.value.line <= 5
+    assert str(exc.value).endswith(": not valid UTF-8")

@@ -87,29 +87,31 @@ def test_duplicate_sample_rejected():
     assert "line 3" in str(exc.value)
 
 
-def test_out_of_order_duplicate_is_found_with_its_line():
-    rows = ["w1,300,cpu,10", "w1,100,cpu,20", "w1,100,mem,5", "w1,200,cpu,30",
-            "w1,400,cpu,40", "w1,0,cpu,50"]
-    grouped = ingest_metrics(metrics_bytes(*rows))
+OUT_OF_ORDER_ROWS = ("w1,300,cpu,10", "w1,100,cpu,20", "w1,100,mem,5", "w1,200,cpu,30",
+                     "w1,400,cpu,40", "w1,0,cpu,50")
+
+
+def test_an_out_of_order_series_loads_like_a_sorted_one():
+    grouped = ingest_metrics(metrics_bytes(*OUT_OF_ORDER_ROWS))
     assert grouped["w1"][Metric.CPU].stats() == compute_demand_stats([10.0, 20.0, 30.0, 40.0, 50.0])
-    assert list(grouped["w1"][Metric.CPU].timestamps) == [0, 100, 200, 300, 400]
-    # 200 lies between the first and the last time, so only the search finds it;
-    # the mem row in between makes the series' rows resume after another series
+
+
+# 300 came first but is no longer the latest time, so only a search finds it;
+# the mem row in between makes the series' rows resume after another series
+@pytest.mark.parametrize("timestamp", (0, 100, 200, 300, 400))
+def test_an_out_of_order_duplicate_is_found_with_its_line(timestamp):
     with pytest.raises(DuplicateSampleError) as exc:
-        ingest_metrics(metrics_bytes(*rows, "w1,200,cpu,60"))
-    assert str(exc.value) == "line 8: duplicate sample for 'w1'/cpu at t=200"
+        ingest_metrics(metrics_bytes(*OUT_OF_ORDER_ROWS, f"w1,{timestamp},cpu,60"))
+    assert str(exc.value) == f"line 8: duplicate sample for 'w1'/cpu at t={timestamp}"
 
 
 def test_a_series_written_backwards_loads_like_one_written_forwards():
-    n = 2 * metrics_module._MAX_INSERT_SHIFT
+    n = 2048
     rows = [f"w1,{t},cpu,{t % 97}" for t in range(n)]
     forward = ingest_metrics(metrics_bytes(*rows))["w1"][Metric.CPU]
     backward = ingest_metrics(metrics_bytes(*reversed(rows)))["w1"][Metric.CPU]
     assert backward.stats() == forward.stats()
-    # the later rows would shift too much of the array, so they go to the set
-    assert len(backward.timestamps) == metrics_module._MAX_INSERT_SHIFT + 1
-    assert len(backward.extra_timestamps) == n - len(backward.timestamps)
-    for t in (n - 1, n - 100, 0):  # first row, in the array, last row, in the set
+    for t in (n - 1, n - 100, 0):  # the first row, one in between, the last row
         with pytest.raises(DuplicateSampleError) as exc:
             ingest_metrics(metrics_bytes(*reversed(rows), f"w1,{t},cpu,1"))
         assert str(exc.value) == f"line {n + 2}: duplicate sample for 'w1'/cpu at t={t}"
