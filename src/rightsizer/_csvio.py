@@ -5,7 +5,8 @@ raises MalformedRowError naming the 1-based physical line:
 - the source is UTF-8 bytes (or a binary stream), with an optional BOM;
   a text stream is taken as already decoded;
 - lines end in LF or CRLF, and the syntax is the csv module's default dialect;
-- no field spans lines: a quoted field must close on the line it opens on;
+- no field spans lines: a quoted field must close on the line it opens on,
+  the last line included;
 - the first row equals the loader's header exactly;
 - every data row has as many columns as the header;
 - a numeric field read through `number` is a finite float.
@@ -28,6 +29,7 @@ import csv
 import io
 import math
 from codecs import BOM_UTF8
+from functools import partial
 from itertools import chain
 from typing import Iterator
 
@@ -58,17 +60,22 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
     before the row is yielded.
     """
     reader = None
+    # `ended.append` is called once, when the lines run out; it returns None,
+    # which ends the second iterator
+    ended: list = []
     try:
-        reader = csv.reader(_lines(source))
+        reader = csv.reader(chain(_lines(source), iter(partial(ended.append, True), None)))
         first = next(reader, None)
         if first is None:
             raise MalformedRowError(1, f"missing header {','.join(header)!r}")
         if first != list(header):
             raise MalformedRowError(1, f"expected header {','.join(header)!r}, got {','.join(first)!r}")
         width = len(header)
-        # every earlier row took one line, so row k began on line k
+        # Every earlier row took one line, so row k began on line k. A row
+        # ends with its line unless a quoted field is still open, so a row the
+        # reader gave only after reaching the end of the input has one too.
         for line_no, row in enumerate(reader, 2):
-            if reader.line_num != line_no:
+            if reader.line_num != line_no or ended:
                 raise MalformedRowError(line_no, "quoted field runs past the end of its line")
             if len(row) != width:
                 raise MalformedRowError(line_no, f"expected {width} columns, got {len(row)}")

@@ -12,6 +12,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, islice, repeat
+from operator import lt, mul
 from typing import Iterable, Mapping
 
 from ._csvio import iter_rows
@@ -76,11 +78,18 @@ class SeriesAccumulator:
     """Exact running sums of one utilization series.
 
     Every finite float is a dyadic rational, so the values seen so far are all
-    integer multiples of 1/`unit` for the largest power-of-two denominator
-    among them. `total` and `total_sq` hold the sum and the sum of squares of
-    those integers as Python ints, so mean and variance are exact rationals
-    however many samples arrive. A value with a larger denominator moves the
-    sums onto its finer grid first.
+    integer multiples of 1/`unit` for a large enough power of two `unit`.
+    `total` and `total_sq` hold the sum and the sum of squares of those
+    integers as Python ints, so mean and variance are exact rationals however
+    many samples arrive. A value off the grid moves the sums onto a finer one
+    first. The grid need not be the coarsest that holds the values: the
+    stats are the same exact rationals on every grid.
+
+    `add` takes a value in [`floor`, 100] with one float multiply: such a
+    value is an integer on the grid, and its scaled value fits a float.
+    Zeros, values finer than the grid, values above 100 and grids too fine
+    for a float take the exact `as_integer_ratio` path. `add_run` adds a whole
+    run of samples in C-level passes.
 
     The sample times seen during ingest are kept for duplicate detection.
     `timestamps` is an `array('q')`, 8 bytes per sample, of every int64 time
@@ -90,13 +99,16 @@ class SeriesAccumulator:
     is below the array's last time.
     """
 
-    __slots__ = ("count", "total", "total_sq", "unit", "timestamps", "extra_timestamps")
+    __slots__ = ("count", "total", "total_sq", "unit", "scale", "floor",
+                 "timestamps", "extra_timestamps")
 
     def __init__(self):
         self.count = 0
         self.total = 0
         self.total_sq = 0
         self.unit = 1
+        self.scale = 1.0  # float(unit)
+        self.floor = math.ldexp(1.0, _FLOAT_DIGITS - 1)  # every float from here up is a multiple of 1/unit
         self.timestamps = array("q")
         self.extra_timestamps: set[int] = set()
 
@@ -113,17 +125,63 @@ class SeriesAccumulator:
         return True
 
     def add(self, value: float) -> None:
-        numerator, denominator = value.as_integer_ratio()
-        if denominator > self.unit:
-            # both are powers of two, so the ratio is an exact integer
-            scale = denominator // self.unit
-            self.total *= scale
-            self.total_sq *= scale * scale
-            self.unit = denominator
-        scaled = numerator * (self.unit // denominator)
+        if self.floor <= value <= 100.0:
+            scaled = int(value * self.scale)  # exact: a power-of-two multiply onto an integer
+        else:
+            numerator, denominator = value.as_integer_ratio()
+            if denominator > self.unit:
+                self._refine(denominator.bit_length() - 1)
+            scaled = numerator * (self.unit // denominator)
         self.count += 1
         self.total += scaled
         self.total_sq += scaled * scaled
+
+    def add_run(self, timestamps: list[int], values: list[float]) -> bool:
+        """Add a non-empty run of samples at once; False, adding nothing, if it cannot.
+
+        The run is added only if its times rise strictly from above the
+        series' latest time and stay in int64, and if a grid of at most
+        2**-_MAX_GRID_EXPONENT holds the series and the run. The values must
+        lie in [0, 100], which ingest checks first. The grid is set by the
+        run's smallest nonzero value: a float with `math.frexp` exponent e
+        is an integer multiple of 2**(e - 53), and so is every larger float.
+        """
+        stamps = self.timestamps
+        if stamps and timestamps[0] <= stamps[-1]:
+            return False
+        if not all(map(lt, timestamps, islice(timestamps, 1, None))):
+            return False
+        try:
+            run_stamps = array("q", timestamps)
+        except OverflowError:
+            return False
+        exponent = self.unit.bit_length() - 1
+        smallest = min(filter(None, values), default=0.0)
+        if smallest:
+            exponent = max(exponent, _FLOAT_DIGITS - math.frexp(smallest)[1])
+        if exponent > _MAX_GRID_EXPONENT:
+            return False
+        if 1 << exponent > self.unit:
+            self._refine(exponent)
+        stamps += run_stamps
+        scale = self.scale
+        scaled = [int(value * scale) for value in values]
+        self.count += len(scaled)
+        self.total += sum(scaled)
+        self.total_sq += sum(map(mul, scaled, scaled))
+        return True
+
+    def _refine(self, exponent: int) -> None:
+        """Move the sums onto the finer grid of multiples of 2**-exponent."""
+        factor = (1 << exponent) // self.unit  # both are powers of two, so exact
+        self.total *= factor
+        self.total_sq *= factor * factor
+        self.unit = 1 << exponent
+        if exponent <= _MAX_GRID_EXPONENT:
+            self.scale = math.ldexp(1.0, exponent)
+            self.floor = math.ldexp(1.0, _FLOAT_DIGITS - 1 - exponent)
+        else:
+            self.floor = math.inf
 
     def stats(self) -> DemandStats:
         """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
@@ -144,6 +202,9 @@ class SeriesAccumulator:
 
 _FLOAT_DIGITS = 53          # significand bits of a double
 _SUBNORMAL_EXPONENT = 1074  # 2**-1074 is the spacing of subnormal doubles
+# 100 < 2**7, so a value up to 100 on a grid of 2**-1017 scales below 2**1024,
+# the first power of two past the largest float
+_MAX_GRID_EXPONENT = 1017
 
 
 def _sqrt_of_ratio(p: int, q: int) -> float:
@@ -180,6 +241,11 @@ IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 _METRIC_BY_NAME = {m.value: m for m in Metric}
 
 
+# A run is a stretch of consecutive rows of one series. Its first rows are
+# checked one by one; once it is this long, the rest is batched.
+_RUN_BATCH_MIN = 16
+
+
 def ingest_metrics(source) -> IngestedMetrics:
     """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
 
@@ -187,51 +253,117 @@ def ingest_metrics(source) -> IngestedMetrics:
     no per-row objects are kept, only each sample's timestamp at 8 bytes.
     Workloads keep their order of first appearance. Values outside [0, 100]
     and duplicate (workload, metric, timestamp) rows are rejected with the
-    offending line number.
+    offending line number; the first bad line in the file is the one named.
+
+    Rows of a series that arrive together form a run. After its first
+    `_RUN_BATCH_MIN` rows, the rest of a run is only buffered as text and,
+    when the run ends, converted, checked and summed in C-level passes (see
+    `SeriesAccumulator.add_run`). A run that fails any of those checks is
+    fed back through the row-by-row code, which alone names bad rows.
     """
     grouped: IngestedMetrics = {}
+    _ingest_rows(iter_rows(source, METRICS_HEADER), grouped, batch=True)
+    if not grouped:
+        raise MalformedRowError(1, "metrics file has no data rows")
+    return grouped
+
+
+def _ingest_rows(rows, grouped: IngestedMetrics, batch: bool) -> None:
+    """Add `(line_no, row)` pairs to `grouped`, batching long runs if `batch`."""
     # While consecutive rows share a series, its last time stays in a local and
     # the append branch of `add_timestamp` runs inline, so a series whose rows
     # arrive together and in time order touches the dicts once. Rows sorted
     # by time across series change the key on every row and pay both lookups
     # and a read of the array's last time on each.
     run_id = run_metric = None
-    for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
-        if not workload_id:
-            raise MalformedRowError(line_no, "empty workload_id")
-        try:
-            timestamp = int(ts_text)
-        except ValueError:
-            raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
-        metric = _METRIC_BY_NAME.get(metric_text)
-        if metric is None:
-            raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
-        if not 0.0 <= value <= 100.0:
-            raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
-        if workload_id != run_id or metric is not run_metric:
-            by_metric = grouped.get(workload_id)
-            if by_metric is None:
-                by_metric = grouped[workload_id] = {}
-            series = by_metric.get(metric)
-            if series is None:
-                series = by_metric[metric] = SeriesAccumulator()
-            run_id, run_metric = workload_id, metric
-            stamps = series.timestamps
-            last = stamps[-1] if stamps else _INT64_MIN - 1
-        if last < timestamp <= _INT64_MAX:
-            stamps.append(timestamp)
-            last = timestamp
-        elif not series.add_timestamp(timestamp):
-            raise DuplicateSampleError(
-                line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-        series.add(value)
-    if not grouped:
-        raise MalformedRowError(1, "metrics file has no data rows")
-    return grouped
+    run_length = 0
+    # the run being batched: its key as text, its first buffered line, its texts
+    batch_id = batch_metric = None
+    batch_start = 0
+    batch_times: list[str] = []
+    batch_values: list[str] = []
+    try:
+        for line_no, (workload_id, ts_text, metric_text, value_text) in rows:
+            if workload_id == batch_id and metric_text == batch_metric:
+                batch_times.append(ts_text)
+                batch_values.append(value_text)
+                continue
+            if batch_id is not None:
+                batch_id = None
+                _add_batch(series, batch_start, run_id, batch_metric, batch_times, batch_values, grouped)
+                batch_times, batch_values = [], []
+            if not workload_id:
+                raise MalformedRowError(line_no, "empty workload_id")
+            try:
+                timestamp = int(ts_text)
+            except ValueError:
+                raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
+            metric = _METRIC_BY_NAME.get(metric_text)
+            if metric is None:
+                raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
+            try:
+                value = float(value_text)
+            except ValueError:
+                raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
+            if not 0.0 <= value <= 100.0:
+                raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
+            if workload_id != run_id or metric is not run_metric:
+                by_metric = grouped.get(workload_id)
+                if by_metric is None:
+                    by_metric = grouped[workload_id] = {}
+                series = by_metric.get(metric)
+                if series is None:
+                    series = by_metric[metric] = SeriesAccumulator()
+                run_id, run_metric = workload_id, metric
+                run_length = 0
+                stamps = series.timestamps
+                last = stamps[-1] if stamps else _INT64_MIN - 1
+            if last < timestamp <= _INT64_MAX:
+                stamps.append(timestamp)
+                last = timestamp
+            elif not series.add_timestamp(timestamp):
+                raise DuplicateSampleError(
+                    line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
+            series.add(value)
+            run_length += 1
+            if run_length == _RUN_BATCH_MIN and batch:
+                batch_id, batch_metric, batch_start = workload_id, metric_text, line_no + 1
+    except MalformedRowError as exc:
+        if batch_id is None:
+            raise
+        reader_error = exc  # raised by the reader after the buffered rows, so theirs come first
+    else:
+        reader_error = None
+    if batch_id is not None:
+        _add_batch(series, batch_start, run_id, batch_metric, batch_times, batch_values, grouped)
+    if reader_error is not None:
+        raise reader_error
+
+
+def _add_batch(series: SeriesAccumulator, first_line: int, workload_id: str, metric_text: str,
+               ts_texts: list[str], value_texts: list[str], grouped: IngestedMetrics) -> None:
+    """Add the buffered rows of one run to `series`, or replay them row by row.
+
+    The rows are lines `first_line` on. They are replayed through
+    `_ingest_rows` if a text does not convert, a value is not in [0, 100],
+    or `add_run` refuses them. The replay names the first bad row, or adds
+    the rows if none is bad: times out of order or outside int64, or a grid
+    too fine for a float.
+    """
+    if not ts_texts:
+        return
+    try:
+        times = list(map(int, ts_texts))
+        values = list(map(float, value_texts))
+    except ValueError:
+        pass
+    else:
+        # a float sum is finite only if every term is, and then min and max are exact
+        if (math.isfinite(sum(values)) and 0.0 <= min(values) and max(values) <= 100.0
+                and series.add_run(times, values)):
+            return
+    rows = zip(repeat(workload_id), ts_texts, repeat(metric_text), value_texts)
+    _ingest_rows(zip(count(first_line), rows), grouped, batch=False)
 
 
 def load_bindings(source) -> dict[str, str]:

@@ -76,6 +76,26 @@ def test_a_field_spanning_lines_names_the_line_it_began_on(loader, broken):
     assert str(exc.value) == "line 2: quoted field runs past the end of its line"
 
 
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("newline", [b"\n", b""], ids=["newline", "no-newline"])
+def test_an_unterminated_quote_on_the_last_line_names_that_line(loader, newline):
+    load, valid = LOADERS[loader]
+    lines = valid.rstrip(b"\n").split(b"\n")
+    head, _, last = lines[-1].rpartition(b",")
+    lines[-1] = head + b',"' + last  # the last field opens a quote and never closes it
+    with pytest.raises(MalformedRowError) as exc:
+        load(b"\n".join(lines) + newline)
+    assert str(exc.value) == f"line {len(lines)}: quoted field runs past the end of its line"
+
+
+@pytest.mark.parametrize("newline", [b"\n", b""], ids=["newline", "no-newline"])
+def test_a_stray_quote_that_opens_no_field_still_loads(newline):
+    # the csv module's default dialect keeps text after a closing quote and
+    # a quote inside an unquoted field as they are
+    data = b'workload_id,current_type\n"w1"x,lin.a.small.r1\nw2,a"b' + newline
+    assert load_bindings(data) == {"w1x": "lin.a.small.r1", "w2": 'a"b'}
+
+
 def long_bindings(rows: int) -> bytes:
     return b"workload_id,current_type\n" + b"".join(b"w%d,lin.a.small.r1\n" % k for k in range(rows))
 

@@ -22,6 +22,7 @@ from rightsizer.errors import (
     DuplicateSampleError,
     InsufficientSamplesError,
     MalformedRowError,
+    RowError,
     UnboundWorkloadError,
     UnknownTypeError,
     ValueOutOfRangeError,
@@ -155,6 +156,110 @@ def test_empty_metrics_rejected():
         ingest_metrics(HEADER.encode())
 
 
+# --- long runs -------------------------------------------------------------
+# Past its first rows, a run of one series is buffered and checked in batch;
+# a fault anywhere in it must be named as the row-by-row code names it.
+
+RUN = 64  # rows of one series, well past the rows checked one by one
+
+
+def run_rows(n=RUN):
+    return [f"w1,{100 * k},cpu,{k % 97}.25" for k in range(n)]
+
+
+# each fault as a row that follows a row of w1/cpu at time t
+RUN_FAULTS = {
+    "timestamp": lambda t: "w1,1e3,cpu,10",
+    "value": lambda t: f"w1,{t + 1},cpu,ten",
+    "nan": lambda t: f"w1,{t + 1},cpu,nan",
+    "inf": lambda t: f"w1,{t + 1},cpu,inf",
+    "negative": lambda t: f"w1,{t + 1},cpu,-0.5",
+    "over-100": lambda t: f"w1,{t + 1},cpu,100.01",
+    "duplicate": lambda t: f"w1,{t},cpu,10",
+    "empty-id": lambda t: f",{t + 1},cpu,10",
+    "metric": lambda t: f"w1,{t + 1},disk,10",
+}
+
+
+# the last row taken one by one, the first buffered, one inside, the last of
+# the run, and the row right after the run
+@pytest.mark.parametrize("position", [metrics_module._RUN_BATCH_MIN - 1, metrics_module._RUN_BATCH_MIN,
+                                      40, RUN - 1, RUN])
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_a_fault_in_a_long_run_is_named_as_in_a_short_one(fault, position):
+    rows = run_rows()
+    bad = RUN_FAULTS[fault](100 * (position - 1))
+    with pytest.raises(RowError) as short:
+        ingest_metrics(metrics_bytes(rows[position - 1], bad))
+    assert short.value.line == 3
+    rows[position:position + 1] = [bad]
+    with pytest.raises(type(short.value)) as long:
+        ingest_metrics(metrics_bytes(*rows, "w2,0,cpu,1"))
+    assert str(long.value) == str(short.value).replace("line 3:", f"line {position + 2}:")
+
+
+@pytest.mark.parametrize("later", [b"w1,6300,cpu,1,extra", b"w1,6300,cpu,\xff"], ids=["columns", "utf-8"])
+def test_a_buffered_fault_comes_before_a_reader_error_later_in_its_run(later):
+    rows = run_rows(RUN - 1)
+    rows[40] = "w1,4000,cpu,ten"
+    with pytest.raises(MalformedRowError) as exc:
+        ingest_metrics(metrics_bytes(*rows)[:-1] + b"\n" + later + b"\n")
+    assert str(exc.value) == "line 42: value 'ten' is not a number"
+
+
+def test_a_reader_error_after_a_clean_run_is_named():
+    rows = run_rows()
+    with pytest.raises(MalformedRowError) as exc:
+        ingest_metrics(metrics_bytes(*rows) + b"w1,6400,cpu\n")
+    assert str(exc.value) == f"line {RUN + 2}: expected 4 columns, got 3"
+
+
+def run_stats(rows):
+    return ingest_metrics(metrics_bytes(*rows))["w1"][Metric.CPU].stats()
+
+
+def test_a_long_run_out_of_order_loads_like_a_sorted_one():
+    rows = run_rows()
+    shuffled = rows[:20] + rows[20:][::-1]
+    assert run_stats(shuffled) == run_stats(rows) == compute_demand_stats(
+        [k % 97 + 0.25 for k in range(RUN)])
+    with pytest.raises(DuplicateSampleError) as exc:
+        # t=3000 is row 53 of the shuffled run, on line 55
+        ingest_metrics(metrics_bytes(*shuffled[:58], "w1,3000,cpu,1", *shuffled[58:]))
+    assert str(exc.value) == "line 60: duplicate sample for 'w1'/cpu at t=3000"
+
+
+@pytest.mark.parametrize("position", [20, RUN - 1])
+def test_a_long_run_with_times_outside_int64_loads_and_finds_their_duplicates(position):
+    rows = run_rows()
+    for timestamp in (2**63, -(2**63) - 1):
+        rows[position] = f"w1,{timestamp},cpu,{position % 97}.25"
+        assert run_stats(rows) == run_stats(run_rows())
+        with pytest.raises(DuplicateSampleError) as exc:
+            ingest_metrics(metrics_bytes(*rows, f"w1,{timestamp},cpu,1"))
+        assert str(exc.value) == f"line {RUN + 2}: duplicate sample for 'w1'/cpu at t={timestamp}"
+
+
+def test_a_batched_run_moves_onto_the_grid_of_its_finest_value():
+    # the buffered rows need a finer grid than the first ones; 100/3 and 1/3
+    # have odd significands, so a grid one step too coarse would lose half a unit
+    values = [50.0] * 20 + [100 / 3, 1 / 3, 2 / 3, 75.0] * 10
+    rows = [f"w1,{t},cpu,{v!r}" for t, v in enumerate(values)]
+    series = ingest_metrics(metrics_bytes(*rows))["w1"][Metric.CPU]
+    # the rounded stats would hide an error of half a unit, the exact sums do not
+    exact = [Fraction(v) for v in values]
+    assert Fraction(series.total, series.unit) == sum(exact)
+    assert Fraction(series.total_sq, series.unit ** 2) == sum(v * v for v in exact)
+    assert series.stats() == compute_demand_stats(values)
+
+
+def test_a_run_on_a_grid_too_fine_for_a_float_loads_exactly():
+    # 1e-300 and the subnormal 5e-324 need a grid finer than 2**-1017
+    values = [50.0] * 20 + [1e-300, 0.0, 5e-324, 100.0] * 10
+    rows = [f"w1,{t},cpu,{v!r}" for t, v in enumerate(values)]
+    assert run_stats(rows) == compute_demand_stats(values)
+
+
 # --- demand statistics ----------------------------------------------------
 
 def test_demand_stats_hand_case():
@@ -276,6 +381,18 @@ def test_stats_are_correctly_rounded_on_every_interpreter():
         variance = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
         assert stats.mean_pct == float(mean)
         _assert_correctly_rounded_sqrt(stats.stddev_pct, variance)
+
+
+def test_stats_of_values_outside_0_100_are_exact():
+    # the one-multiply path of `add` covers only percentages: 1e300 on the
+    # grid of 1e-10 would overflow a float
+    for values in ([1e-10, 1e300], [-5.0, 250.0, 0.5], [1e300, 1e-300, 7.0]):
+        exact = [Fraction(v) for v in values]
+        mean = sum(exact) / len(exact)
+        stats = compute_demand_stats(values)
+        assert stats.mean_pct == float(mean)
+        _assert_correctly_rounded_sqrt(stats.stddev_pct,
+                                       sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
 
 
 def test_square_root_rounds_halfway_cases_to_even():
