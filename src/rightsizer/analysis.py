@@ -2,7 +2,8 @@
 
 Hourly totals are summed with math.fsum, so they do not depend on the
 order of the fleet. Annual figures are hourly figures times a configurable
-hours-per-year (8760 by default). The sweep builds one model per
+hours-per-year (8760 by default); one too large for a float is a
+ConfigError. The sweep builds one model per
 utilization factor and solves them in ascending order in one pass, each row
 resuming its cheapest-first scan where the previous factor left it, and
 brackets the break-even point where the optimized fleet's projected annual
@@ -19,6 +20,7 @@ from typing import Sequence
 
 from .catalog import Catalog
 from .errors import (
+    ConfigError,
     DegenerateVarianceError,
     InsufficientSamplesError,
     InvalidDeltasError,
@@ -49,6 +51,17 @@ def _check_coverage(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution
 
 def _baseline_hourly(fleet: Fleet, catalog: Catalog) -> float:
     return math.fsum(catalog.lookup(w.current_type).hourly_cost for w in fleet.workloads)
+
+
+def _annual(hourly: float, hours_per_year: int) -> float:
+    """`hourly` times `hours_per_year`; ConfigError if that is not a finite float."""
+    try:
+        annual = hourly * hours_per_year
+    except OverflowError:  # hours_per_year itself is past the largest float
+        annual = math.inf
+    if not math.isfinite(annual):
+        raise ConfigError(f"hours per year too large: {hourly:.4f} USD/h over a year is not a finite number")
+    return annual
 
 
 @dataclass(frozen=True)
@@ -82,8 +95,8 @@ def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
             w.id, source, target.hourly_cost, target.hourly_cost - source))
     baseline_hourly = _baseline_hourly(fleet, catalog)
     target_hourly = math.fsum(c.target_hourly for c in per_workload)
-    baseline_annual = baseline_hourly * hours_per_year
-    target_annual = target_hourly * hours_per_year
+    baseline_annual = _annual(baseline_hourly, hours_per_year)
+    target_annual = _annual(target_hourly, hours_per_year)
     return CostReport(
         baseline_hourly=baseline_hourly,
         target_hourly=target_hourly,
@@ -146,7 +159,7 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
             raise InvalidDeltasError(f"factors must be strictly increasing, got {a} then {b}")
 
     baseline_hourly = _baseline_hourly(fleet, catalog)
-    baseline_annual = baseline_hourly * hours_per_year
+    baseline_annual = _annual(baseline_hourly, hours_per_year)
 
     cases = []
     models = (build_model(fleet, catalog, UtilizationPolicy.uniform(delta)) for delta in sweep)
@@ -158,7 +171,7 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
             assigned = {w.id: catalog.entries[result.assignment[i] - 1].key
                         for i, w in enumerate(fleet.workloads, start=1)}
             cases.append(SweepCase(
-                delta, result.total_hourly_cost, result.total_hourly_cost * hours_per_year,
+                delta, result.total_hourly_cost, _annual(result.total_hourly_cost, hours_per_year),
                 (), assigned))
 
     break_even = None

@@ -12,7 +12,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, islice, repeat
+from itertools import count, islice
 from operator import lt, mul
 from typing import Iterable, Mapping
 
@@ -88,8 +88,9 @@ class SeriesAccumulator:
     `add` takes a value in [`floor`, 100] with one float multiply: such a
     value is an integer on the grid, and its scaled value fits a float.
     Zeros, values finer than the grid, values above 100 and grids too fine
-    for a float take the exact `as_integer_ratio` path. `add_run` adds a whole
-    run of samples in C-level passes.
+    for a float take the exact `as_integer_ratio` path. Ingest adds the first
+    row of a run of one series with `add_timestamp` and `add`, and the rest
+    of the run with `add_run`, in C-level passes.
 
     The sample times seen during ingest are kept for duplicate detection.
     `timestamps` is an `array('q')`, 8 bytes per sample, of every int64 time
@@ -241,11 +242,6 @@ IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 _METRIC_BY_NAME = {m.value: m for m in Metric}
 
 
-# A run is a stretch of consecutive rows of one series. Its first rows are
-# checked one by one; once it is this long, the rest is batched.
-_RUN_BATCH_MIN = 16
-
-
 def ingest_metrics(source) -> IngestedMetrics:
     """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
 
@@ -255,103 +251,83 @@ def ingest_metrics(source) -> IngestedMetrics:
     and duplicate (workload, metric, timestamp) rows are rejected with the
     offending line number; the first bad line in the file is the one named.
 
-    Rows of a series that arrive together form a run. After its first
-    `_RUN_BATCH_MIN` rows, the rest of a run is only buffered as text and,
-    when the run ends, converted, checked and summed in C-level passes (see
-    `SeriesAccumulator.add_run`). A run that fails any of those checks is
-    fed back through the row-by-row code, which alone names bad rows.
+    Consecutive rows of one series form a run. The first row of a run is
+    checked and added by itself (`_add_row`); the rest are only buffered as
+    text and, when the run ends, added in C-level passes (`_add_rest`).
     """
     grouped: IngestedMetrics = {}
-    _ingest_rows(iter_rows(source, METRICS_HEADER), grouped, batch=True)
+    # the current run: its key as text, the line of its second row, and the
+    # texts of the rows buffered since its first
+    run_id = run_metric = None
+    rest_line = 0
+    times: list[str] = []
+    values: list[str] = []
+    try:
+        for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
+            if workload_id == run_id and metric_text == run_metric:
+                times.append(ts_text)
+                values.append(value_text)
+                continue
+            if times:
+                # emptied first, so a fault in them leaves nothing to flush below
+                rest, times, values = (times, values), [], []
+                _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
+            series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
+            run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
+    except MalformedRowError:
+        if times:  # the reader failed after the buffered rows, so a fault among them comes first
+            _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
+        raise
+    if times:
+        _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped
 
 
-def _ingest_rows(rows, grouped: IngestedMetrics, batch: bool) -> None:
-    """Add `(line_no, row)` pairs to `grouped`, batching long runs if `batch`."""
-    # While consecutive rows share a series, its last time stays in a local and
-    # the append branch of `add_timestamp` runs inline, so a series whose rows
-    # arrive together and in time order touches the dicts once. Rows sorted
-    # by time across series change the key on every row and pay both lookups
-    # and a read of the array's last time on each.
-    run_id = run_metric = None
-    run_length = 0
-    # the run being batched: its key as text, its first buffered line, its texts
-    batch_id = batch_metric = None
-    batch_start = 0
-    batch_times: list[str] = []
-    batch_values: list[str] = []
-    try:
-        for line_no, (workload_id, ts_text, metric_text, value_text) in rows:
-            if workload_id == batch_id and metric_text == batch_metric:
-                batch_times.append(ts_text)
-                batch_values.append(value_text)
-                continue
-            if batch_id is not None:
-                batch_id = None
-                _add_batch(series, batch_start, run_id, batch_metric, batch_times, batch_values, grouped)
-                batch_times, batch_values = [], []
-            if not workload_id:
-                raise MalformedRowError(line_no, "empty workload_id")
-            try:
-                timestamp = int(ts_text)
-            except ValueError:
-                raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
-            metric = _METRIC_BY_NAME.get(metric_text)
-            if metric is None:
-                raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
-            if not 0.0 <= value <= 100.0:
-                raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
-            if workload_id != run_id or metric is not run_metric:
-                by_metric = grouped.get(workload_id)
-                if by_metric is None:
-                    by_metric = grouped[workload_id] = {}
-                series = by_metric.get(metric)
-                if series is None:
-                    series = by_metric[metric] = SeriesAccumulator()
-                run_id, run_metric = workload_id, metric
-                run_length = 0
-                stamps = series.timestamps
-                last = stamps[-1] if stamps else _INT64_MIN - 1
-            if last < timestamp <= _INT64_MAX:
-                stamps.append(timestamp)
-                last = timestamp
-            elif not series.add_timestamp(timestamp):
-                raise DuplicateSampleError(
-                    line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-            series.add(value)
-            run_length += 1
-            if run_length == _RUN_BATCH_MIN and batch:
-                batch_id, batch_metric, batch_start = workload_id, metric_text, line_no + 1
-    except MalformedRowError as exc:
-        if batch_id is None:
-            raise
-        reader_error = exc  # raised by the reader after the buffered rows, so theirs come first
-    else:
-        reader_error = None
-    if batch_id is not None:
-        _add_batch(series, batch_start, run_id, batch_metric, batch_times, batch_values, grouped)
-    if reader_error is not None:
-        raise reader_error
+def _add_row(grouped: IngestedMetrics, line_no: int, workload_id: str, ts_text: str,
+             metric_text: str, value_text: str) -> SeriesAccumulator:
+    """Check one data row and add it to its series, which it returns.
 
-
-def _add_batch(series: SeriesAccumulator, first_line: int, workload_id: str, metric_text: str,
-               ts_texts: list[str], value_texts: list[str], grouped: IngestedMetrics) -> None:
-    """Add the buffered rows of one run to `series`, or replay them row by row.
-
-    The rows are lines `first_line` on. They are replayed through
-    `_ingest_rows` if a text does not convert, a value is not in [0, 100],
-    or `add_run` refuses them. The replay names the first bad row, or adds
-    the rows if none is bad: times out of order or outside int64, or a grid
-    too fine for a float.
+    This is the only place a metrics data row is rejected.
     """
-    if not ts_texts:
-        return
+    if not workload_id:
+        raise MalformedRowError(line_no, "empty workload_id")
+    try:
+        timestamp = int(ts_text)
+    except ValueError:
+        raise MalformedRowError(line_no, f"timestamp {ts_text!r} is not an integer") from None
+    metric = _METRIC_BY_NAME.get(metric_text)
+    if metric is None:
+        raise MalformedRowError(line_no, f"metric {metric_text!r} is not one of 'cpu', 'mem'")
+    try:
+        value = float(value_text)
+    except ValueError:
+        raise MalformedRowError(line_no, f"value {value_text!r} is not a number") from None
+    if not 0.0 <= value <= 100.0:
+        raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
+    by_metric = grouped.get(workload_id)
+    if by_metric is None:
+        by_metric = grouped[workload_id] = {}
+    series = by_metric.get(metric)
+    if series is None:
+        series = by_metric[metric] = SeriesAccumulator()
+    if not series.add_timestamp(timestamp):
+        raise DuplicateSampleError(
+            line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
+    series.add(value)
+    return series
+
+
+def _add_rest(grouped: IngestedMetrics, series: SeriesAccumulator, first_line: int, workload_id: str,
+              metric_text: str, ts_texts: list[str], value_texts: list[str]) -> None:
+    """Add the buffered rows of one run, lines `first_line` on, to `series`.
+
+    The rows are replayed through `_add_row` if a text does not convert, a
+    value is not in [0, 100], or `add_run` refuses them. The replay names
+    the first bad row, or adds the rows if none is bad: times out of order
+    or outside int64, or a grid too fine for a float.
+    """
     try:
         times = list(map(int, ts_texts))
         values = list(map(float, value_texts))
@@ -362,8 +338,8 @@ def _add_batch(series: SeriesAccumulator, first_line: int, workload_id: str, met
         if (math.isfinite(sum(values)) and 0.0 <= min(values) and max(values) <= 100.0
                 and series.add_run(times, values)):
             return
-    rows = zip(repeat(workload_id), ts_texts, repeat(metric_text), value_texts)
-    _ingest_rows(zip(count(first_line), rows), grouped, batch=False)
+    for line_no, ts_text, value_text in zip(count(first_line), ts_texts, value_texts):
+        _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
 
 
 def load_bindings(source) -> dict[str, str]:

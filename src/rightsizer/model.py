@@ -19,6 +19,7 @@ from .errors import (
     DuplicateKeyError,
     IndexOutOfRangeError,
     InvalidPolicyError,
+    MalformedRowError,
     UnknownTypeError,
 )
 from .metrics import Fleet
@@ -61,6 +62,8 @@ def load_policy(source, default: float) -> UtilizationPolicy:
     """Parse per-workload factor CSV (``workload_id,delta``) over a default."""
     factors: dict[str, float] = {}
     for line_no, (workload_id, delta_text) in iter_rows(source, POLICY_HEADER):
+        if not workload_id:
+            raise MalformedRowError(line_no, "empty workload_id")
         delta = number(line_no, "delta", delta_text)
         if not delta >= 1.0:
             raise InvalidPolicyError(f"line {line_no}: utilization factor {delta} for {workload_id!r} is < 1")

@@ -265,6 +265,23 @@ def test_sweep_spec_case_count_is_bounded_before_allocation(inputs, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("hours", [10**306, 10**307, 10**400], ids=["1e306", "1e307", "1e400"])
+@pytest.mark.parametrize("command", [["optimize", "--delta", "1.5"], ["sweep"]], ids=["optimize", "sweep"])
+def test_an_annual_cost_too_large_for_a_float_is_an_input_error(inputs, tmp_path, capsys, command, hours):
+    # w1's 100 USD/h baseline stays finite over 10**306 hours; the 200 USD/h
+    # type it takes at a factor of 1.5 does not
+    (inputs / "catalog.csv").write_text("""key,cpu_ecu,mem_gib,cost_per_hour
+lin.a.small.r1,2.0,4.0,100
+lin.b.medium.r1,4.0,8.0,200
+lin.c.large.r1,8.0,16.0,400
+""")
+    out = tmp_path / "out"
+    assert run(inputs, *command, "--hours-per-year", str(hours), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: hours per year too large: ") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 # --- export-ampl ------------------------------------------------------------------
 
 def test_export_ampl_files(inputs, tmp_path):

@@ -157,10 +157,11 @@ def test_empty_metrics_rejected():
 
 
 # --- long runs -------------------------------------------------------------
-# Past its first rows, a run of one series is buffered and checked in batch;
-# a fault anywhere in it must be named as the row-by-row code names it.
+# The first row of a run of one series is checked by itself; the rest of the
+# run is buffered and checked in batch. A fault anywhere in it must be named
+# as the row-by-row code names it.
 
-RUN = 64  # rows of one series, well past the rows checked one by one
+RUN = 64  # rows of one series
 
 
 def run_rows(n=RUN):
@@ -180,22 +181,41 @@ RUN_FAULTS = {
     "metric": lambda t: f"w1,{t + 1},disk,10",
 }
 
+# the first two buffered rows, rows inside the run, the last row of the run,
+# and the row right after the run
+RUN_POSITIONS = [1, 2, 15, 16, 40, RUN - 1, RUN]
 
-# the last row taken one by one, the first buffered, one inside, the last of
-# the run, and the row right after the run
-@pytest.mark.parametrize("position", [metrics_module._RUN_BATCH_MIN - 1, metrics_module._RUN_BATCH_MIN,
-                                      40, RUN - 1, RUN])
+
+@pytest.mark.parametrize("position, interleaved",
+                         [pytest.param(p, False, id=str(p)) for p in RUN_POSITIONS]
+                         + [pytest.param(p, True, id=f"interleaved-{p}") for p in RUN_POSITIONS])
 @pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
-def test_a_fault_in_a_long_run_is_named_as_in_a_short_one(fault, position):
+def test_a_fault_in_a_long_run_is_named_as_in_a_short_one(fault, position, interleaved):
     rows = run_rows()
     bad = RUN_FAULTS[fault](100 * (position - 1))
     with pytest.raises(RowError) as short:
         ingest_metrics(metrics_bytes(rows[position - 1], bad))
     assert short.value.line == 3
     rows[position:position + 1] = [bad]
+    if interleaved:  # a row of w2 after each row of w1, so every run is one row long
+        rows = [row for k, w1_row in enumerate(rows) for row in (w1_row, f"w2,{100 * k},cpu,1")]
+        line = 2 * position + 2
+    else:
+        rows.append("w2,0,cpu,1")
+        line = position + 2
     with pytest.raises(type(short.value)) as long:
-        ingest_metrics(metrics_bytes(*rows, "w2,0,cpu,1"))
-    assert str(long.value) == str(short.value).replace("line 3:", f"line {position + 2}:")
+        ingest_metrics(metrics_bytes(*rows))
+    assert str(long.value) == str(short.value).replace("line 3:", f"line {line}:")
+
+
+@pytest.mark.parametrize("next_row", ["w2,0,cpu,ten", "w2,0,cpu,101", ",0,cpu,1"],
+                         ids=["value", "over-100", "empty-id"])
+def test_a_buffered_fault_comes_before_a_bad_first_row_of_the_next_run(next_row):
+    rows = run_rows()
+    rows[40] = "w1,4000,cpu,ten"
+    with pytest.raises(MalformedRowError) as exc:
+        ingest_metrics(metrics_bytes(*rows, next_row))
+    assert str(exc.value) == "line 42: value 'ten' is not a number"
 
 
 @pytest.mark.parametrize("later", [b"w1,6300,cpu,1,extra", b"w1,6300,cpu,\xff"], ids=["columns", "utf-8"])

@@ -20,6 +20,7 @@ from rightsizer import (
 from rightsizer.errors import (
     IndexOutOfRangeError,
     InvalidPolicyError,
+    MalformedRowError,
     UnknownTypeError,
 )
 
@@ -177,6 +178,12 @@ def test_load_policy_overrides_and_default():
 def test_load_policy_rejects_below_one():
     with pytest.raises(InvalidPolicyError):
         load_policy(b"workload_id,delta\nw1,0.5\n", default=1.5)
+
+
+def test_load_policy_rejects_an_empty_workload_id():
+    with pytest.raises(MalformedRowError) as exc:
+        load_policy(b"workload_id,delta\nw1,2.0\n,2.0\n", default=1.5)
+    assert str(exc.value) == "line 3: empty workload_id"
 
 
 # --- AMPL export -------------------------------------------------------------
