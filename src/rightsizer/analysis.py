@@ -24,11 +24,10 @@ from .errors import (
     DegenerateVarianceError,
     InsufficientSamplesError,
     InvalidDeltasError,
-    RowMismatchError,
 )
 from .metrics import Fleet
 from .model import UtilizationPolicy, build_model
-from .solve import AssignmentSolution, Infeasible, solve_ascending
+from .solve import AssignmentSolution, Infeasible, assigned_types, solve_ascending
 
 HOURS_PER_YEAR = 8760
 
@@ -36,17 +35,6 @@ HOURS_PER_YEAR = 8760
 def default_sweep_deltas() -> tuple[float, ...]:
     """Utilization factors 1.0 through 4.0 in 0.1 steps: 31 sweep cases."""
     return tuple(round(1.0 + k * 0.1, 10) for k in range(31))
-
-
-def _check_coverage(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution) -> None:
-    expected = set(range(1, len(fleet.workloads) + 1))
-    if set(solution.assignment) != expected:
-        raise RowMismatchError(
-            f"solution covers rows {sorted(solution.assignment)}, fleet has rows 1..{len(fleet.workloads)}")
-    n = len(catalog.entries)
-    for i, j in sorted(solution.assignment.items()):
-        if not 1 <= j <= n:
-            raise RowMismatchError(f"row {i} is assigned column {j}, catalog has columns 1..{n}")
 
 
 def _baseline_hourly(fleet: Fleet, catalog: Catalog) -> float:
@@ -86,11 +74,9 @@ class CostReport:
 def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
                   hours_per_year: int = HOURS_PER_YEAR) -> CostReport:
     """Hourly and projected annual cost of the current fleet versus its assignment."""
-    _check_coverage(fleet, catalog, solution)
     per_workload = []
-    for i, w in enumerate(fleet.workloads, start=1):
+    for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet))):
         source = catalog.lookup(w.current_type).hourly_cost
-        target = catalog.entries[solution.assignment[i] - 1]
         per_workload.append(WorkloadCost(
             w.id, source, target.hourly_cost, target.hourly_cost - source))
     baseline_hourly = _baseline_hourly(fleet, catalog)
@@ -168,8 +154,8 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
             cases.append(SweepCase(
                 delta, None, None, tuple(r.workload_id for r in result.rows), None))
         else:
-            assigned = {w.id: catalog.entries[result.assignment[i] - 1].key
-                        for i, w in enumerate(fleet.workloads, start=1)}
+            assigned = {w.id: target.key for w, target in
+                        zip(fleet.workloads, assigned_types(result, catalog, len(fleet)))}
             cases.append(SweepCase(
                 delta, result.total_hourly_cost, _annual(result.total_hourly_cost, hours_per_year),
                 (), assigned))
@@ -252,11 +238,9 @@ def _safe_t_test(a: list[float], b: list[float]) -> TTestResult | None:
 def utilization_report(fleet: Fleet, catalog: Catalog,
                        solution: AssignmentSolution) -> UtilizationReport:
     """Demand/capacity fractions before and after reassignment, with t-tests."""
-    _check_coverage(fleet, catalog, solution)
     rows = []
-    for i, w in enumerate(fleet.workloads, start=1):
+    for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet))):
         current = catalog.lookup(w.current_type)
-        target = catalog.entries[solution.assignment[i] - 1]
         rows.append(WorkloadUtilization(
             id=w.id,
             source_cpu_util=w.cpu_demand / current.cpu_capacity,
@@ -300,14 +284,12 @@ def consolidation_report(fleet: Fleet, catalog: Catalog,
     Edge counts over all edges sum to the fleet size; edges are sorted by
     (source_type, target_type) for stable output.
     """
-    _check_coverage(fleet, catalog, solution)
     edges: Counter[tuple[str, str]] = Counter()
     sources: set[str] = set()
     targets: set[str] = set()
-    for i, w in enumerate(fleet.workloads, start=1):
-        target_key = catalog.entries[solution.assignment[i] - 1].key
+    for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet))):
         sources.add(w.current_type)
-        targets.add(target_key)
-        edges[(w.current_type, target_key)] += 1
+        targets.add(target.key)
+        edges[(w.current_type, target.key)] += 1
     flow = tuple(FlowEdge(s, t, c) for (s, t), c in sorted(edges.items()))
     return ConsolidationReport(len(sources), len(targets), flow)

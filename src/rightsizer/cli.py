@@ -61,7 +61,10 @@ def parse_sweep_spec(spec: str) -> tuple[float, ...]:
     steps = (end - start) / step + 1e-9
     if not steps < MAX_SWEEP_CASES:  # also catches an overflow to inf
         raise ConfigError(f"sweep spec {spec!r} asks for more than {MAX_SWEEP_CASES} cases")
-    return tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
+    factors = tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
+    if len(set(factors)) < len(factors):
+        raise ConfigError(f"sweep spec {spec!r} has factors that are equal once rounded to 10 decimals")
+    return factors
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,4 +1,4 @@
-"""Assignment model assembly: cost vector, scaled demands, feasibility rule, AMPL export.
+"""Assignment model assembly: scaled demands, feasibility rule, AMPL export.
 
 Rows are fleet workloads, columns are catalog entries. A column j is feasible
 for row i when the workload's demand, multiplied by its utilization factor,
@@ -77,7 +77,7 @@ def load_policy(source, default: float) -> UtilizationPolicy:
 class AssignmentModel:
     """One fleet-to-catalog assignment problem, with no M x N structure.
 
-    `cost[j]` is the hourly cost of catalog column j for every row;
+    Every row pays `catalog.entries[j].hourly_cost` for column j;
     `scaled_cpu`/`scaled_mem` hold each row's demand times its factor.
     Indices into these tuples, and into `fits`, are 0-based.
     """
@@ -85,7 +85,6 @@ class AssignmentModel:
     fleet: Fleet
     catalog: Catalog
     policy: UtilizationPolicy
-    cost: tuple[float, ...]
     scaled_cpu: tuple[float, ...]
     scaled_mem: tuple[float, ...]
 
@@ -122,7 +121,6 @@ def build_model(fleet: Fleet, catalog: Catalog, policy: UtilizationPolicy) -> As
         fleet=fleet,
         catalog=catalog,
         policy=policy,
-        cost=tuple(e.hourly_cost for e in catalog.entries),
         scaled_cpu=tuple(w.cpu_demand * f for w, f in zip(fleet.workloads, factors)),
         scaled_mem=tuple(w.mem_demand * f for w, f in zip(fleet.workloads, factors)),
     )
@@ -207,7 +205,7 @@ def export_ampl(model: AssignmentModel) -> AmplExport:
     workloads = model.fleet.workloads
 
     # every row has the same costs, so the row is formatted once
-    cost_row = " ".join(_num(c) for c in model.cost)
+    cost_row = " ".join(_num(e.hourly_cost) for e in model.catalog.entries)
     cost_lines = [f"param cost : {' '.join(insts)} :="]
     cost_lines += [f"    {name} {cost_row}" for name in servers]
     cost_lines.append(";")

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .catalog import Catalog
 from .metrics import Fleet
-from .solve import AssignmentSolution, Infeasible
+from .solve import AssignmentSolution, Infeasible, assigned_types
 
 
 def _fields(value) -> dict[str, Any]:
@@ -221,15 +221,12 @@ def sweep_case_payload(case_number: int, case) -> dict:
 
 def assignment_spec(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
                     default_delta: float) -> Report:
-    records = []
-    for i, w in enumerate(fleet.workloads, start=1):
-        target = catalog.entries[solution.assignment[i] - 1]
-        records.append({
-            "workload_id": w.id,
-            "current_type": w.current_type,
-            "target_type": target.key,
-            "target_hourly": target.hourly_cost,
-        })
+    records = [{
+        "workload_id": w.id,
+        "current_type": w.current_type,
+        "target_type": target.key,
+        "target_hourly": target.hourly_cost,
+    } for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet)))]
     return Report(
         payload={
             "status": "optimal",

@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
-from .catalog import Catalog
-from .errors import BudgetExceededError
+from .catalog import Catalog, InstanceType
+from .errors import BudgetExceededError, RowMismatchError
 from .model import AssignmentModel
 
 DEFAULT_BRUTEFORCE_BUDGET = 1_000_000
@@ -53,6 +53,32 @@ class Violation:
     kind: str
     row: int | None
     detail: str
+
+
+def _coverage_faults(assignment: Mapping[int, int], rows: int, columns: int) -> Iterator[tuple[int, str]]:
+    # The coverage rule: every row of 1..rows takes one column of 1..columns.
+    # Yields (row, detail) for each row without a column and each pair
+    # outside rows x columns, in row order.
+    for i in sorted(assignment.keys() | range(1, rows + 1)):
+        j = assignment.get(i)
+        if j is None:
+            yield i, f"row {i} has no assigned column"
+        elif not 1 <= i <= rows:
+            yield i, f"row {i} is assigned column {j}, fleet has rows 1..{rows}"
+        elif not 1 <= j <= columns:
+            yield i, f"row {i} is assigned column {j}, catalog has columns 1..{columns}"
+
+
+def assigned_types(solution: AssignmentSolution, catalog: Catalog, rows: int) -> list[InstanceType]:
+    """The catalog entry each of rows 1..rows is assigned, in row order.
+
+    Raises RowMismatchError naming the first row at fault when the solution
+    does not assign exactly the rows 1..rows, or assigns a column outside
+    the catalog; `validate_solution` reports the same faults as data.
+    """
+    for _, detail in _coverage_faults(solution.assignment, rows, len(catalog.entries)):
+        raise RowMismatchError(detail)
+    return [catalog.entries[solution.assignment[i] - 1] for i in range(1, rows + 1)]
 
 
 def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ...]:
@@ -98,7 +124,7 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
         if missing:
             yield Infeasible(tuple(missing))
         else:
-            total = math.fsum(model.cost[j - 1] for j in assignment.values())
+            total = math.fsum(catalog.entries[j - 1].hourly_cost for j in assignment.values())
             yield AssignmentSolution(assignment, total)
 
 
@@ -128,11 +154,11 @@ def solve_bruteforce(model: AssignmentModel,
                for i, w in enumerate(model.fleet.workloads) if not allowed[i]]
     if missing:
         return Infeasible(tuple(missing))
-    cost = model.cost
+    price = [e.hourly_cost for e in model.catalog.entries]
     order = _column_order(model.catalog)
     best = min(itertools.product(*allowed),
-               key=lambda combo: (math.fsum(cost[j] for j in combo), tuple(order[j] for j in combo)))
-    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best)}, math.fsum(cost[j] for j in best))
+               key=lambda combo: (math.fsum(price[j] for j in combo), tuple(order[j] for j in combo)))
+    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best)}, math.fsum(price[j] for j in best))
 
 
 def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> list[Violation]:
@@ -142,28 +168,19 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
     column, every assigned cell is feasible, and the reported total equals the
     math.fsum of the assigned costs. Violations are data, not errors.
     """
-    violations: list[Violation] = []
-    m, n = model.row_count, model.column_count
-    for i in range(1, m + 1):
-        if i not in solution.assignment:
-            violations.append(Violation("CoverageViolation", i, f"row {i} has no assigned column"))
-    coverage_ok = not violations
-    for i in sorted(solution.assignment):
-        j = solution.assignment[i]
-        if not 1 <= i <= m or not 1 <= j <= n:
-            violations.append(Violation(
-                "CoverageViolation", i, f"assignment ({i}, {j}) outside the {m}x{n} matrix"))
-            coverage_ok = False
-            continue
-        if not model.fits(i - 1, j - 1):
+    violations = [Violation("CoverageViolation", i, detail)
+                  for i, detail in _coverage_faults(solution.assignment, model.row_count, model.column_count)]
+    faulty = {v.row for v in violations}
+    for i, j in sorted(solution.assignment.items()):
+        if i not in faulty and not model.fits(i - 1, j - 1):
             w = model.fleet.workloads[i - 1]
             e = model.catalog.entries[j - 1]
             violations.append(Violation(
                 "CapacityViolation", i,
                 f"{w.id!r} needs {model.scaled_cpu[i - 1]:.6g} ECU / {model.scaled_mem[i - 1]:.6g} GiB "
                 f"but {e.key!r} supplies {e.cpu_capacity:.6g} / {e.mem_capacity:.6g}"))
-    if coverage_ok:
-        recomputed = math.fsum(model.cost[j - 1] for j in solution.assignment.values())
+    if not faulty:
+        recomputed = math.fsum(e.hourly_cost for e in assigned_types(solution, model.catalog, model.row_count))
         if recomputed != solution.total_hourly_cost:
             violations.append(Violation(
                 "CostMismatch", None,

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from helpers import abc_catalog, random_trial_model
+from rightsizer import reports
 from rightsizer import (
     AssignmentSolution,
     Catalog,
@@ -90,15 +92,29 @@ def test_totals_do_not_depend_on_fleet_order():
     assert report.savings_fraction == 0.0
 
 
-@pytest.mark.parametrize("analysis", [project_costs, utilization_report, consolidation_report])
+# every reader of a solution's rows; the assignment report bills each row too
+SOLUTION_READERS = [project_costs, utilization_report, consolidation_report,
+                    pytest.param(functools.partial(reports.assignment_spec, default_delta=1.0),
+                                 id="assignment_spec")]
+
+
+def two_row_fleet():
+    return Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.0, 2.0),
+                  WorkloadProfile("w2", "lin.a.small.r1", 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("analysis", SOLUTION_READERS)
 @pytest.mark.parametrize("column", [0, -1, 4])
 def test_analyses_reject_out_of_range_column(analysis, column):
     # abc_catalog has columns 1..3; column 0 or -1 must not wrap to the last type
-    catalog = abc_catalog()
-    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.0, 2.0),
-                   WorkloadProfile("w2", "lin.a.small.r1", 1.0, 2.0)))
-    with pytest.raises(RowMismatchError, match=f"row 2 is assigned column {column}"):
-        analysis(fleet, catalog, AssignmentSolution({1: 1, 2: column}, 0.2))
+    with pytest.raises(RowMismatchError, match=f"row 2 is assigned column {column}, catalog has columns 1..3"):
+        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution({1: 1, 2: column}, 0.2))
+
+
+@pytest.mark.parametrize("analysis", SOLUTION_READERS)
+def test_analyses_reject_a_missing_row(analysis):
+    with pytest.raises(RowMismatchError, match="^row 2 has no assigned column$"):
+        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution({1: 1}, 0.1))
 
 
 # --- sweep -------------------------------------------------------------------
@@ -145,6 +161,11 @@ def test_sweep_break_even_absent_when_exceeded_from_start():
     result = run_sweep(fleet, sweep_catalog(), [1.5, 2.0])
     assert result.cases[0].total_annual > result.baseline_annual
     assert result.break_even is None
+
+
+def test_sweep_rejects_an_empty_factor_list():
+    with pytest.raises(InvalidDeltasError, match="at least one"):
+        run_sweep(sweep_fleet(), sweep_catalog(), [])
 
 
 def test_sweep_rejects_unordered_deltas():

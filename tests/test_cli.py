@@ -122,6 +122,16 @@ def test_optimize_bad_byte_in_metrics_exits_one_with_its_line(inputs, tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_the_cli_imports_only_the_standard_library():
+    # -S keeps site-packages out, and with it any module a .pth file imports
+    code = "import sys, rightsizer.cli; print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    loaded = set(done.stdout.split())
+    assert "rightsizer" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"__main__", "rightsizer"}
+
+
 def test_optimize_text_format(inputs, tmp_path):
     out = tmp_path / "out"
     assert run(inputs, "optimize", "--delta", "1.5", "--format", "text",
@@ -250,6 +260,22 @@ def test_parse_sweep_spec_matches_default():
         parse_sweep_spec("1.0:2.0")
     with pytest.raises(ConfigError):
         parse_sweep_spec("1.0:2.0:0")
+    with pytest.raises(ConfigError, match="non-numeric"):
+        parse_sweep_spec("1.0:abc:0.1")
+    with pytest.raises(ConfigError, match="non-finite"):
+        parse_sweep_spec("1.0:inf:0.1")
+
+
+def test_a_sweep_spec_whose_factors_collapse_when_rounded_is_refused_before_input(inputs, tmp_path, capsys):
+    # factors are rounded to 10 decimals, which makes these eleven all 1.0
+    spec = "1.0:1.00000000001:1e-12"
+    with pytest.raises(ConfigError, match=f"sweep spec '{spec}' has factors that are equal"):
+        parse_sweep_spec(spec)
+    (inputs / "metrics.csv").unlink()
+    out = tmp_path / "out"
+    assert run(inputs, "sweep", "--sweep", spec, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"error: sweep spec '{spec}' has factors")
+    assert not out.exists()
 
 
 def test_sweep_spec_case_count_is_bounded_before_allocation(inputs, tmp_path, capsys):

@@ -49,6 +49,26 @@ def test_bad_bytes_on_line_3_name_the_line(loader, prefix):
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_an_empty_file_names_its_missing_header(loader):
+    load, valid = LOADERS[loader]
+    header = valid.split(b"\n")[0].decode()
+    with pytest.raises(MalformedRowError) as exc:
+        load(b"")
+    assert str(exc.value) == f"line 1: missing header {header!r}"
+
+
+@pytest.mark.parametrize("loader, data, message", [
+    ("catalog", b"key,cpu_ecu,mem_gib,cost_per_hour\nlin.a.small.r1,inf,4,0.1\n", "cpu_ecu 'inf'"),
+    ("policy", b"workload_id,delta\nw1,nan\n", "delta 'nan'"),
+])
+def test_a_numeric_field_that_is_not_finite_names_its_line(loader, data, message):
+    load, _ = LOADERS[loader]
+    with pytest.raises(MalformedRowError) as exc:
+        load(data)
+    assert str(exc.value) == f"line 2: {message} is not finite"
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
 @pytest.mark.parametrize("variant", [
     lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
     bytearray,

@@ -508,3 +508,10 @@ def test_load_bindings_duplicate():
     data = b"workload_id,current_type\nw1,lin.m.large.r1\nw1,lin.m.xlarge.r1\n"
     with pytest.raises(DuplicateKeyError):
         load_bindings(data)
+
+
+@pytest.mark.parametrize("row", [b",lin.m.large.r1", b"w1,"], ids=["workload_id", "current_type"])
+def test_load_bindings_rejects_an_empty_field(row):
+    with pytest.raises(MalformedRowError) as exc:
+        load_bindings(b"workload_id,current_type\n" + row + b"\n")
+    assert str(exc.value) == "line 2: empty field"

@@ -1,4 +1,5 @@
-"""Property tests: ingest's exact demand stats against `statistics` and across row orders."""
+"""Property tests: ingest's exact demand stats against `statistics` and across row orders,
+and the line it names for a malformed row."""
 
 import statistics
 import sys
@@ -10,6 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rightsizer import Metric, compute_demand_stats, ingest_metrics  # noqa: E402
+from rightsizer.errors import RowError  # noqa: E402
+from test_metrics import RUN_FAULTS  # noqa: E402
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, derandomize=True)
 HEADER = "workload_id,timestamp,metric,value\n"
@@ -83,3 +86,48 @@ def test_row_order_does_not_change_the_sums(rows):
     in_file_order = all_sums(rows)
     assert all_sums(sorted(rows, key=lambda row: row[1])) == in_file_order
     assert all_sums(rows[::-1]) == in_file_order
+
+
+def _moved(fault):
+    # a RUN_FAULTS row follows a row of w1/cpu at time t; this one follows
+    # sample k - 1 of series (w, m)
+    return lambda w, m, k: fault(100 * (k - 1)).replace("w1,", f"{w},").replace(",cpu,", f",{m},")
+
+
+# each fault as the row that replaces sample k >= 1 of series (w, m)
+ROW_FAULTS = {
+    **{name: _moved(fault) for name, fault in RUN_FAULTS.items()},
+    "columns": lambda w, m, k: f"{w},{100 * k},{m},10,extra",
+    "utf-8": lambda w, m, k: f"{w}\udcff,{100 * k},{m},10",  # byte 0xff once encoded
+}
+
+
+@st.composite
+def faulty_files(draw):
+    """2-4 workloads with both series, and one or two sample rows replaced by faults."""
+    workloads = [f"w{n}" for n in range(draw(st.integers(2, 4)))]
+    samples = draw(st.integers(2, 20))
+    keys = [(w, m, k) for w in workloads for m in ("cpu", "mem") for k in range(samples)]
+    values = dict(zip(keys, draw(st.lists(st.integers(0, 100), min_size=len(keys), max_size=len(keys)))))
+    positions = draw(st.lists(st.sampled_from([key for key in values if key[2] >= 1]),
+                              min_size=1, max_size=2, unique=True))
+    faults = {key: ROW_FAULTS[draw(st.sampled_from(sorted(ROW_FAULTS)))](*key) for key in positions}
+    return values, faults
+
+
+def faulty_csv(keys, values, faults):
+    rows = [faults[key] if key in faults else f"{key[0]},{100 * key[2]},{key[1]},{values[key]}"
+            for key in keys]
+    return (HEADER + "".join(row + "\n" for row in rows)).encode("utf-8", "surrogateescape")
+
+
+@PROPERTY_SETTINGS
+@given(faulty_files())
+def test_the_first_faulty_line_is_named_in_series_order_and_sorted_by_time(case):
+    values, faults = case
+    in_series_order = list(values)
+    for keys in (in_series_order, sorted(in_series_order, key=lambda key: key[2])):
+        first = min(keys.index(key) for key in faults) + 2  # the header is line 1
+        with pytest.raises(RowError) as exc:
+            ingest_metrics(faulty_csv(keys, values, faults))
+        assert exc.value.line == first

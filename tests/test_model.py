@@ -18,6 +18,7 @@ from rightsizer import (
     validate_solution,
 )
 from rightsizer.errors import (
+    DuplicateKeyError,
     IndexOutOfRangeError,
     InvalidPolicyError,
     MalformedRowError,
@@ -87,17 +88,10 @@ def test_feasibility_readers_agree_at_exact_capacity():
         (True, True, True), (False, True, True), (False, True, True), (True, True, True))
     for j in range(model.column_count):
         refused = {v.row for v in validate_solution(
-            model, AssignmentSolution({i: j + 1 for i in range(1, 5)}, 4 * model.cost[j]))}
+            model, AssignmentSolution({i: j + 1 for i in range(1, 5)}, 4 * model.catalog.entries[j].hourly_cost))}
         for i in range(model.row_count):
             in_set = j + 1 in feasible_set(model, i + 1)
             assert in_set == model.feasible[i][j] == (i + 1 not in refused)
-
-
-def test_cost_matrix_is_column_constant():
-    fleet = Fleet(tuple(
-        WorkloadProfile(f"w{i}", "lin.a.small.r1", 0.5, 1.0) for i in range(4)))
-    model = model_for(fleet, abc_catalog(), 1.2)
-    assert model.cost == tuple(e.hourly_cost for e in abc_catalog().entries)
 
 
 def test_per_workload_factor_overrides_default():
@@ -184,6 +178,12 @@ def test_load_policy_rejects_an_empty_workload_id():
     with pytest.raises(MalformedRowError) as exc:
         load_policy(b"workload_id,delta\nw1,2.0\n,2.0\n", default=1.5)
     assert str(exc.value) == "line 3: empty workload_id"
+
+
+def test_load_policy_rejects_a_duplicate_factor():
+    with pytest.raises(DuplicateKeyError) as exc:
+        load_policy(b"workload_id,delta\nw1,2.0\nw1,3.0\n", default=1.5)
+    assert str(exc.value) == "line 3: duplicate factor for 'w1'"
 
 
 # --- AMPL export -------------------------------------------------------------

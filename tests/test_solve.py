@@ -11,6 +11,7 @@ from rightsizer import (
     Infeasible,
     InstanceType,
     UtilizationPolicy,
+    Violation,
     WorkloadProfile,
     build_model,
     solve_ascending,
@@ -27,7 +28,7 @@ def enumerate_best_total(model):
     n = model.column_count
     for combo in itertools.product(range(n), repeat=model.row_count):
         if all(model.feasible[i][j] for i, j in enumerate(combo)):
-            total = sum(model.cost[j] for j in combo)
+            total = sum(model.catalog.entries[j].hourly_cost for j in combo)
             if best is None or total < best:
                 best = total
     return best
@@ -127,6 +128,22 @@ def test_validate_flags_missing_row():
     bad = AssignmentSolution({1: 1}, 0.10)
     kinds = [v.kind for v in validate_solution(model, bad)]
     assert "CoverageViolation" in kinds
+
+
+@pytest.mark.parametrize("assignment, row, detail", [
+    ({1: 1, 2: 1, 3: 1}, 3, "row 3 is assigned column 1, fleet has rows 1..2"),
+    ({0: 1, 1: 1, 2: 1}, 0, "row 0 is assigned column 1, fleet has rows 1..2"),
+    ({1: 1, 2: 4}, 2, "row 2 is assigned column 4, catalog has columns 1..3"),
+    ({1: 1, 2: 0}, 2, "row 2 is assigned column 0, catalog has columns 1..3"),
+], ids=["row-after", "row-0", "column-after", "column-0"])
+def test_validate_flags_a_pair_outside_the_matrix(assignment, row, detail):
+    fleet = Fleet((
+        WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
+        WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
+    ))
+    model = model_for(fleet, abc_catalog(), 1.0)
+    assert validate_solution(model, AssignmentSolution(assignment, 0.2)) == [
+        Violation("CoverageViolation", row, detail)]
 
 
 # --- properties ---------------------------------------------------------------

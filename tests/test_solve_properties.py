@@ -1,11 +1,16 @@
-"""Property tests: the incremental solve against the brute-force oracle and against fresh solves."""
+"""Property tests: the incremental solve against the brute-force oracle and against fresh solves,
+and the one coverage rule that validation and every reader of a solution apply."""
+
+import functools
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from rightsizer import reports  # noqa: E402
 from rightsizer import (  # noqa: E402
+    AssignmentSolution,
     Catalog,
     Fleet,
     Infeasible,
@@ -13,11 +18,16 @@ from rightsizer import (  # noqa: E402
     UtilizationPolicy,
     WorkloadProfile,
     build_model,
+    consolidation_report,
+    project_costs,
     run_sweep,
     solve_ascending,
     solve_bruteforce,
     solve_exact,
+    utilization_report,
+    validate_solution,
 )
+from rightsizer.errors import RowMismatchError  # noqa: E402
 
 # Grids keep cost/cpu/mem ties and demands exactly at capacity common.
 CPU_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -113,3 +123,42 @@ def test_sweep_rows_going_infeasible_part_way_match_each_case_solved_alone(sweep
             assert case.total_hourly == alone.total_hourly_cost
             assert case.assignment == {w.id: catalog.entries[alone.assignment[i] - 1].key
                                        for i, w in enumerate(fleet.workloads, start=1)}
+
+
+@st.composite
+def solutions(draw, model):
+    """A full in-range assignment, then up to three edits: a row dropped, a row
+    outside 1..M added, or a row moved to a column outside 1..N."""
+    m, n = model.row_count, model.column_count
+    assignment = {i: draw(st.integers(1, n)) for i in range(1, m + 1)}
+    for edit in draw(st.lists(st.sampled_from(("drop", "extra", "column")), max_size=3)):
+        if edit == "drop" and assignment:
+            del assignment[draw(st.sampled_from(sorted(assignment)))]
+        elif edit == "extra":
+            assignment[draw(st.sampled_from((-1, 0, m + 1, m + 2)))] = draw(st.integers(-1, n + 1))
+        elif edit == "column" and assignment:
+            assignment[draw(st.sampled_from(sorted(assignment)))] = draw(st.sampled_from((-1, 0, n + 1)))
+    return AssignmentSolution(assignment, 0.0)
+
+
+@st.composite
+def models_and_solutions(draw):
+    catalog = draw(catalogs(max_columns=4))
+    model = build_model(draw(fleets(catalog, max_rows=4)), catalog, UtilizationPolicy.uniform(1.0))
+    return model, draw(solutions(model))
+
+
+@PROPERTY_SETTINGS
+@given(models_and_solutions())
+def test_validation_finds_a_coverage_fault_exactly_when_the_readers_refuse_the_solution(case):
+    model, solution = case
+    coverage = [v for v in validate_solution(model, solution) if v.kind == "CoverageViolation"]
+    assert [v.row for v in coverage] == sorted(v.row for v in coverage)
+    for reader in (project_costs, utilization_report, consolidation_report,
+                   functools.partial(reports.assignment_spec, default_delta=1.0)):
+        if coverage:
+            with pytest.raises(RowMismatchError) as exc:
+                reader(model.fleet, model.catalog, solution)
+            assert str(exc.value) == coverage[0].detail
+        else:
+            reader(model.fleet, model.catalog, solution)
