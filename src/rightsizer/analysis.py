@@ -13,10 +13,8 @@ cost first exceeds the baseline.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import Catalog
 from .errors import (
@@ -52,16 +50,14 @@ def _annual(hourly: float, hours_per_year: int) -> float:
     return annual
 
 
-@dataclass(frozen=True)
-class WorkloadCost:
+class WorkloadCost(NamedTuple):
     id: str
     source_hourly: float
     target_hourly: float
     delta: float  # target minus source, USD/hour
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     baseline_hourly: float
     target_hourly: float
     baseline_annual: float
@@ -94,8 +90,7 @@ def project_costs(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
     )
 
 
-@dataclass(frozen=True)
-class SweepCase:
+class SweepCase(NamedTuple):
     delta: float
     total_hourly: float | None   # None when the case is infeasible
     total_annual: float | None
@@ -103,14 +98,12 @@ class SweepCase:
     assignment: dict[str, str] | None  # workload id -> assigned type key
 
 
-@dataclass(frozen=True)
-class BreakEven:
+class BreakEven(NamedTuple):
     last_saving_delta: float
     first_exceeding_delta: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     cases: tuple[SweepCase, ...]
     break_even: BreakEven | None
     baseline_hourly: float
@@ -173,8 +166,7 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
     return SweepResult(tuple(cases), break_even, baseline_hourly, baseline_annual, hours_per_year)
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t_statistic: float
     degrees_of_freedom: float
     variant: str = "student_pooled"
@@ -187,6 +179,8 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     smaller one. Raises DegenerateVarianceError when the pooled variance is
     zero while the means differ; zero variance with equal means gives t = 0.
     """
+    import statistics  # here, so that a command without t-tests does not load it
+
     n_a, n_b = len(sample_a), len(sample_b)
     if n_a < 2 or n_b < 2:
         raise InsufficientSamplesError(f"each sample needs >= 2 values, got {n_a} and {n_b}")
@@ -203,8 +197,7 @@ def t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     return TTestResult(t, float(df))
 
 
-@dataclass(frozen=True)
-class WorkloadUtilization:
+class WorkloadUtilization(NamedTuple):
     id: str
     source_cpu_util: float  # demand / capacity of the current type, 0..1
     target_cpu_util: float  # demand / capacity of the assigned type
@@ -212,16 +205,14 @@ class WorkloadUtilization:
     target_mem_util: float
 
 
-@dataclass(frozen=True)
-class UtilizationMeans:
+class UtilizationMeans(NamedTuple):
     source_cpu: float
     target_cpu: float
     source_mem: float
     target_mem: float
 
 
-@dataclass(frozen=True)
-class UtilizationReport:
+class UtilizationReport(NamedTuple):
     per_workload: tuple[WorkloadUtilization, ...]
     means: UtilizationMeans
     cpu_ttest: TTestResult | None  # None when under two workloads or degenerate spread
@@ -238,6 +229,8 @@ def _safe_t_test(a: list[float], b: list[float]) -> TTestResult | None:
 def utilization_report(fleet: Fleet, catalog: Catalog,
                        solution: AssignmentSolution) -> UtilizationReport:
     """Demand/capacity fractions before and after reassignment, with t-tests."""
+    import statistics  # see t_test
+
     rows = []
     for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet))):
         current = catalog.lookup(w.current_type)
@@ -263,15 +256,13 @@ def utilization_report(fleet: Fleet, catalog: Catalog,
     )
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     source_type: str
     target_type: str
     workload_count: int
 
 
-@dataclass(frozen=True)
-class ConsolidationReport:
+class ConsolidationReport(NamedTuple):
     source_type_count: int
     target_type_count: int
     flow_edges: tuple[FlowEdge, ...]

@@ -7,10 +7,10 @@ fixes the column order of every matrix built from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from ._csvio import iter_rows, number
+from ._frozen import Frozen
 from .errors import (
     DuplicateKeyError,
     MalformedRowError,
@@ -24,8 +24,7 @@ CATALOG_HEADER = ("key", "cpu_ecu", "mem_gib", "cost_per_hour")
 MIN_KEY_SEGMENTS = 3
 
 
-@dataclass(frozen=True)
-class InstanceType:
+class InstanceType(NamedTuple):
     """One machine shape with published capacities and on-demand price."""
 
     key: str
@@ -34,22 +33,19 @@ class InstanceType:
     hourly_cost: float   # USD/hour
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(Frozen):
     """Ordered collection of candidate instance types with unique keys."""
 
-    entries: tuple[InstanceType, ...]
+    __slots__ = ("entries", "_index")
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[InstanceType, ...]):
+        if not entries:
             raise ValueError("catalog must contain at least one instance type")
-        keys = [e.key for e in self.entries]
-        if len(set(keys)) != len(keys):
+        index = {e.key: e for e in entries}
+        if len(index) != len(entries):
             raise ValueError("catalog keys must be unique")
-
-    @cached_property
-    def _index(self) -> dict[str, InstanceType]:
-        return {e.key: e for e in self.entries}
+        self._set(entries=entries, _index=index)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count, islice
 from operator import lt, mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ._csvio import iter_rows
+from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
     DuplicateKeyError,
@@ -37,8 +37,7 @@ class Metric(str, Enum):
     MEM = "mem"
 
 
-@dataclass(frozen=True)
-class DemandStats:
+class DemandStats(NamedTuple):
     """Summary of one utilization series, in percent of current capacity."""
 
     mean_pct: float
@@ -47,8 +46,7 @@ class DemandStats:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class WorkloadProfile:
+class WorkloadProfile(NamedTuple):
     """One running workload: observed demand in absolute units plus identity."""
 
     id: str
@@ -57,18 +55,17 @@ class WorkloadProfile:
     mem_demand: float   # GiB
 
 
-@dataclass(frozen=True)
-class Fleet:
+class Fleet(Frozen):
     """Ordered running workloads; order fixes the row order downstream."""
 
-    workloads: tuple[WorkloadProfile, ...]
+    __slots__ = _fields = ("workloads",)
 
-    def __post_init__(self):
-        if not self.workloads:
+    def __init__(self, workloads: tuple[WorkloadProfile, ...]):
+        if not workloads:
             raise ValueError("fleet must contain at least one workload")
-        ids = [w.id for w in self.workloads]
-        if len(set(ids)) != len(ids):
+        if len({w.id for w in workloads}) != len(workloads):
             raise ValueError("workload ids must be unique")
+        self._set(workloads=workloads)
 
     def __len__(self) -> int:
         return len(self.workloads)

@@ -9,11 +9,11 @@ number rows and columns from 1, matching the exported formulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ._csvio import iter_rows, number
+from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
     DuplicateKeyError,
@@ -27,8 +27,7 @@ from .metrics import Fleet
 POLICY_HEADER = ("workload_id", "delta")
 
 
-@dataclass(frozen=True)
-class UtilizationPolicy:
+class UtilizationPolicy(Frozen):
     """Per-workload headroom multipliers applied to observed demand.
 
     A factor of 1 means future load is expected to match the observed load;
@@ -36,19 +35,19 @@ class UtilizationPolicy:
     invalid.
     """
 
-    default: float
-    factors: Mapping[str, float] = field(default_factory=dict)
+    __slots__ = _fields = ("default", "factors")
 
-    def __post_init__(self):
+    def __init__(self, default: float, factors: Mapping[str, float] | None = None):
         # a snapshot, so that later edits to the caller's dict cannot bypass the checks below
-        object.__setattr__(self, "factors", MappingProxyType(dict(self.factors)))
-        if not (math.isfinite(self.default) and self.default >= 1.0):
+        factors = MappingProxyType(dict(factors or {}))
+        if not (math.isfinite(default) and default >= 1.0):
             raise InvalidPolicyError(
-                f"default utilization factor {self.default} is not a finite number >= 1")
-        for workload_id, factor in self.factors.items():
+                f"default utilization factor {default} is not a finite number >= 1")
+        for workload_id, factor in factors.items():
             if not (math.isfinite(factor) and factor >= 1.0):
                 raise InvalidPolicyError(
                     f"utilization factor {factor} for {workload_id!r} is not a finite number >= 1")
+        self._set(default=default, factors=factors)
 
     @classmethod
     def uniform(cls, delta: float) -> "UtilizationPolicy":
@@ -73,8 +72,7 @@ def load_policy(source, default: float) -> UtilizationPolicy:
     return UtilizationPolicy(default=default, factors=factors)
 
 
-@dataclass(frozen=True)
-class AssignmentModel:
+class AssignmentModel(NamedTuple):
     """One fleet-to-catalog assignment problem, with no M x N structure.
 
     Every row pays `catalog.entries[j].hourly_cost` for column j;
@@ -133,8 +131,7 @@ def feasible_set(model: AssignmentModel, row: int) -> list[int]:
     return [j + 1 for j in range(model.column_count) if model.fits(row - 1, j)]
 
 
-@dataclass(frozen=True)
-class AmplExport:
+class AmplExport(NamedTuple):
     model_text: str
     data_text: str
 

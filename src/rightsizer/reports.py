@@ -10,12 +10,10 @@ report is also its plot CSV.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .analysis import (
     ConsolidationReport,
@@ -29,18 +27,12 @@ from .metrics import Fleet
 from .solve import AssignmentSolution, Infeasible, assigned_types
 
 
-def _fields(value) -> dict[str, Any]:
-    # json's hook for what it cannot encode itself: a report dataclass becomes its fields
-    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-
-
 def to_json(payload) -> str:
-    """Deterministic JSON rendering of a report dataclass or plain structure."""
-    return json.dumps(payload, indent=2, default=_fields) + "\n"
+    """Deterministic JSON rendering of a payload of dicts, lists and scalars."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
     """One report column; without a text header it is CSV-only, without a CSV header text-only."""
 
     text: str | None
@@ -50,11 +42,12 @@ class Column:
     left: bool = False  # text alignment; right-aligned otherwise
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One artifact: its JSON payload, and the text and CSV forms its columns declare."""
 
-    payload: Any  # what `to_json` writes for --format json
+    # what `to_json` writes for --format json: dicts, lists and scalars only,
+    # since json writes a record, being a NamedTuple, as an array
+    payload: Any
     title: str
     summary: tuple[str, ...]  # text lines between the title and the table
     rows: Sequence
@@ -100,6 +93,10 @@ def _factor(delta: float) -> str:
     return label if float(label) == delta else repr(delta)
 
 
+def _ttest_payload(result: TTestResult | None) -> dict | None:
+    return None if result is None else result._asdict()
+
+
 def _ttest_line(result: TTestResult | None) -> str:
     if result is None:
         return "not computed"
@@ -108,7 +105,7 @@ def _ttest_line(result: TTestResult | None) -> str:
 
 def cost_spec(report: CostReport) -> Report:
     return Report(
-        payload=report,
+        payload={**report._asdict(), "per_workload": [w._asdict() for w in report.per_workload]},
         title="cost report",
         summary=(
             f"hours per year   {report.hours_per_year}",
@@ -130,7 +127,12 @@ def cost_spec(report: CostReport) -> Report:
 def utilization_spec(report: UtilizationReport) -> Report:
     m = report.means
     return Report(
-        payload=report,
+        payload={
+            "per_workload": [w._asdict() for w in report.per_workload],
+            "means": m._asdict(),
+            "cpu_ttest": _ttest_payload(report.cpu_ttest),
+            "mem_ttest": _ttest_payload(report.mem_ttest),
+        },
         title="utilization report",
         summary=(
             f"mean cpu util    {100.0 * m.source_cpu:.2f} % -> {100.0 * m.target_cpu:.2f} %",
@@ -150,7 +152,7 @@ def utilization_spec(report: UtilizationReport) -> Report:
 
 def consolidation_spec(report: ConsolidationReport) -> Report:
     return Report(
-        payload=report,
+        payload={**report._asdict(), "flow_edges": [e._asdict() for e in report.flow_edges]},
         title="consolidation report",
         summary=(
             f"source types  {report.source_type_count}",

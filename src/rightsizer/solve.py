@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .catalog import Catalog, InstanceType
 from .errors import BudgetExceededError, RowMismatchError
@@ -23,16 +22,14 @@ from .model import AssignmentModel
 DEFAULT_BRUTEFORCE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class AssignmentSolution:
+class AssignmentSolution(NamedTuple):
     """Chosen column per row (both 1-based) and the hourly cost, summed with math.fsum."""
 
     assignment: dict[int, int]
     total_hourly_cost: float
 
 
-@dataclass(frozen=True)
-class InfeasibleRow:
+class InfeasibleRow(NamedTuple):
     """A workload no catalog column can host, with its scaled demands."""
 
     row: int
@@ -41,13 +38,11 @@ class InfeasibleRow:
     mem_required: float  # demand times utilization factor, GiB
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     rows: tuple[InfeasibleRow, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed post-hoc check; kind is CoverageViolation, CapacityViolation, or CostMismatch."""
 
     kind: str

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .catalog import Catalog
 
 BASE_TIMESTAMP = 1_704_067_200  # fixed epoch anchor keeps outputs reproducible
@@ -12,22 +13,19 @@ SAMPLE_INTERVAL = 300           # seconds between consecutive samples
 BINDING_HEADROOM = 4.0          # bind only shapes the catalog can host at 4x demand
 
 
-@dataclass(frozen=True)
-class SynthSpec:
-    seed: int
-    workload_count: int
-    samples_per_series: int
-    catalog: Catalog
+class SynthSpec(Frozen):
+    __slots__ = _fields = ("seed", "workload_count", "samples_per_series", "catalog")
 
-    def __post_init__(self):
-        if self.workload_count < 1:
+    def __init__(self, seed: int, workload_count: int, samples_per_series: int, catalog: Catalog):
+        if workload_count < 1:
             raise ValueError("workload_count must be >= 1")
-        if self.samples_per_series < 2:
+        if samples_per_series < 2:
             raise ValueError("samples_per_series must be >= 2")
+        self._set(seed=seed, workload_count=workload_count,
+                  samples_per_series=samples_per_series, catalog=catalog)
 
 
-@dataclass(frozen=True)
-class SynthOutput:
+class SynthOutput(NamedTuple):
     metrics_csv: bytes
     bindings_csv: bytes
 

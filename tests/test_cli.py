@@ -122,14 +122,26 @@ def test_optimize_bad_byte_in_metrics_exits_one_with_its_line(inputs, tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def test_the_cli_imports_only_the_standard_library():
+def modules_loaded_by_importing_the_cli() -> set[str]:
     # -S keeps site-packages out, and with it any module a .pth file imports
-    code = "import sys, rightsizer.cli; print(*sorted({name.partition('.')[0] for name in sys.modules}))"
+    code = "import sys, rightsizer.cli; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_the_cli_imports_only_the_standard_library():
+    loaded = {name.partition(".")[0] for name in modules_loaded_by_importing_the_cli()}
     assert "rightsizer" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"__main__", "rightsizer"}
+
+
+def test_the_cli_loads_no_module_that_start_up_does_not_need():
+    # dataclasses (with inspect) and statistics (with fractions and decimal)
+    # once took half of the CLI's import time; only the t-tests use statistics
+    loaded = modules_loaded_by_importing_the_cli()
+    assert "rightsizer.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "statistics", "fractions", "decimal"})
 
 
 def test_optimize_text_format(inputs, tmp_path):

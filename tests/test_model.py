@@ -58,6 +58,11 @@ def test_policy_snapshots_its_factors():
     factors["w2"] = 3.0
     assert policy.delta_for("w1") == 2.0
     assert policy.delta_for("w2") == 1.5
+    assert policy.factors == {"w1": 2.0}
+    with pytest.raises(TypeError):
+        policy.factors["w1"] = 0.5
+    assert UtilizationPolicy(1.5) == UtilizationPolicy.uniform(1.5)
+    assert UtilizationPolicy(1.5).factors == {}
     with pytest.raises(TypeError):
         policy.factors["w1"] = 0.5
 
