@@ -111,16 +111,20 @@ def build_model(fleet: Fleet, catalog: Catalog, policy: UtilizationPolicy) -> As
 
     Every workload's current type must resolve in the catalog.
     """
-    for w in fleet.workloads:
-        if w.current_type not in catalog:
-            raise UnknownTypeError(f"workload {w.id!r} has current type {w.current_type!r} not in catalog")
-    factors = [policy.delta_for(w.id) for w in fleet.workloads]
+    workloads = fleet.workloads
+    if not catalog.keys() >= {w.current_type for w in workloads}:
+        # name the first offender in fleet order
+        for w in workloads:
+            if w.current_type not in catalog:
+                raise UnknownTypeError(f"workload {w.id!r} has current type {w.current_type!r} not in catalog")
+    factor, default = policy.factors.get, policy.default
+    factors = [factor(w.id, default) for w in workloads]
     return AssignmentModel(
         fleet=fleet,
         catalog=catalog,
         policy=policy,
-        scaled_cpu=tuple(w.cpu_demand * f for w, f in zip(fleet.workloads, factors)),
-        scaled_mem=tuple(w.mem_demand * f for w, f in zip(fleet.workloads, factors)),
+        scaled_cpu=tuple(w.cpu_demand * f for w, f in zip(workloads, factors)),
+        scaled_mem=tuple(w.mem_demand * f for w, f in zip(workloads, factors)),
     )
 
 

@@ -5,8 +5,11 @@ one-type-per-row constraint is per-row too, so the global cost minimum
 decomposes into independent per-row choices. `solve_ascending` exploits
 that for a sequence of models (a sweep), carrying each row's place in the
 column order from one model to the next; `solve_exact` is the same path
-for one model. `solve_bruteforce` deliberately does not and enumerates
-candidate assignments wholesale, which makes it a usable oracle for both.
+for one model. Both scan only the undominated columns: a column with no
+more CPU and no more memory than one that comes earlier in the preference
+order can never be a row's first fit, so skipping it changes no result.
+`solve_bruteforce` deliberately does none of this and enumerates candidate
+assignments over `fits` wholesale, which makes it a usable oracle for both.
 """
 
 from __future__ import annotations
@@ -81,6 +84,35 @@ def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ..
     return tuple((e.hourly_cost, e.cpu_capacity, e.mem_capacity, e.key) for e in catalog.entries)
 
 
+class _Staircase(NamedTuple):
+    # The undominated columns in preference order: 1-based catalog column
+    # numbers, their two capacities and their price, as parallel sequences.
+    columns: tuple[int, ...]
+    cpu: tuple[float, ...]
+    mem: tuple[float, ...]
+    price: tuple[float, ...]
+
+
+def _staircase(catalog: Catalog) -> _Staircase:
+    # A column is dropped when an earlier kept column has at least its CPU and
+    # its memory. Any demand that fits it fits that column too, which comes
+    # first, so it is never a first fit. An earlier dropped column is dominated
+    # by an earlier kept one, so checking the kept ones is enough, and of those
+    # only the maximal ones (`frontier`).
+    order = _column_order(catalog)
+    kept: list[int] = []
+    frontier: list[tuple[float, float]] = []
+    for j in sorted(range(len(order)), key=order.__getitem__):
+        _, c, m, _ = order[j]
+        if any(c <= fc and m <= fm for fc, fm in frontier):
+            continue
+        kept.append(j)
+        frontier = [(fc, fm) for fc, fm in frontier if not (fc <= c and fm <= m)]
+        frontier.append((c, m))
+    price, cpu, mem, _ = zip(*(order[j] for j in kept))
+    return _Staircase(tuple(j + 1 for j in kept), cpu, mem, price)
+
+
 def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSolution | Infeasible]:
     """Solve each model in turn; yield for each exactly what solving it alone gives.
 
@@ -88,6 +120,13 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
     takes the first column that fits in the shared tie-break order, which
     is a strict order because catalog keys are unique. When any row has no
     feasible column the result is Infeasible, listing every such row.
+
+    The scan visits only undominated columns. A column is dominated when an
+    earlier column in that order has at least its CPU and its memory; every
+    demand that fits it fits the earlier one, so it is never the first fit
+    and skipping it is exact. The kept columns are found once per catalog,
+    and the scan compares demands to their capacities with the same `<=` as
+    `AssignmentModel.fits`.
 
     A row resumes its scan at the column it took in the previous model: a
     column refused at some demand is refused at any larger one. A row whose
@@ -98,29 +137,30 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
     catalog, start = None, []
     for model in models:
         cpu, mem = model.scaled_cpu, model.scaled_mem
-        if model.catalog is not catalog or model.row_count != len(start):
+        if model.catalog is not catalog:
             catalog = model.catalog
-            by_preference = sorted(range(model.column_count), key=_column_order(catalog).__getitem__)
-            n = len(by_preference)
+            columns, cap_cpu, cap_mem, price = _staircase(catalog)
+            n = len(columns)
+            start = []
+        if model.row_count != len(start):
             start = [0] * model.row_count
             last_cpu, last_mem = cpu, mem
-        assignment: dict[int, int] = {}
         missing: list[InfeasibleRow] = []
         for i, w in enumerate(model.fleet.workloads):
-            k = start[i] if cpu[i] >= last_cpu[i] and mem[i] >= last_mem[i] else 0
-            while k < n and not model.fits(i, by_preference[k]):
+            c, m = cpu[i], mem[i]
+            k = start[i] if c >= last_cpu[i] and m >= last_mem[i] else 0
+            while k < n and not (c <= cap_cpu[k] and m <= cap_mem[k]):
                 k += 1
             start[i] = k
             if k == n:
-                missing.append(InfeasibleRow(i + 1, w.id, cpu[i], mem[i]))
-            else:
-                assignment[i + 1] = by_preference[k] + 1
+                missing.append(InfeasibleRow(i + 1, w.id, c, m))
         last_cpu, last_mem = cpu, mem
         if missing:
             yield Infeasible(tuple(missing))
         else:
-            total = math.fsum(catalog.entries[j - 1].hourly_cost for j in assignment.values())
-            yield AssignmentSolution(assignment, total)
+            # start[i] is now the place of row i's column in the staircase
+            yield AssignmentSolution(dict(enumerate(map(columns.__getitem__, start), 1)),
+                                     math.fsum(map(price.__getitem__, start)))
 
 
 def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:

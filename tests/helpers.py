@@ -1,8 +1,10 @@
-"""Shared builders for tests: tiny catalogs, fleets, and seeded random models."""
+"""Shared builders for tests: tiny catalogs, fleets, seeded random models, and an AMPL data reader."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import re
 
 from rightsizer import (
     AssignmentModel,
@@ -66,3 +68,34 @@ def random_trial_model(rng: random.Random) -> AssignmentModel:
         ))
     delta = round(rng.uniform(1.0, 3.0), 2)
     return build_model(Fleet(tuple(workloads)), catalog, UtilizationPolicy.uniform(delta))
+
+
+# a quoted name (an embedded quote is written twice) or a bare word
+_AMPL_TOKEN = re.compile(r"'(?:[^']|'')*'|[^\s']+")
+
+
+def _ampl_word(token: str):
+    return token[1:-1].replace("''", "'") if token.startswith("'") else float(token)
+
+
+def parse_ampl_data(text: str) -> dict:
+    """Read an exported model.dat: sets as member lists, 1-D params as {member: value},
+    and 2-D params (``param cost : cols :=``) as {(row, column): value}."""
+    parsed: dict = {}
+    tokens = iter(_AMPL_TOKEN.findall(text))
+    for kind in tokens:
+        name = next(tokens)
+        head = list(itertools.takewhile(lambda t: t != ":=", tokens))
+        body = [_ampl_word(t) for t in itertools.takewhile(lambda t: t != ";", tokens)]
+        if kind == "set" and not head:
+            parsed[name] = body
+        elif kind == "param" and not head:
+            parsed[name] = dict(zip(body[0::2], body[1::2]))
+        elif kind == "param" and head[0] == ":":
+            columns = [_ampl_word(t) for t in head[1:]]
+            step = len(columns) + 1
+            parsed[name] = {(body[r], column): value for r in range(0, len(body), step)
+                            for column, value in zip(columns, body[r + 1:r + step])}
+        else:
+            raise ValueError(f"unexpected statement {kind} {name}")
+    return parsed

@@ -73,6 +73,18 @@ def test_unknown_current_type_rejected():
         build_model(fleet, abc_catalog(), UtilizationPolicy.uniform(1.0))
 
 
+def test_unknown_current_type_names_the_first_offender_in_fleet_order():
+    fleet = Fleet((
+        WorkloadProfile("w1", "lin.a.small.r1", 1.0, 2.0),
+        WorkloadProfile("w2", "lin.z.huge.r9", 1.0, 2.0),
+        WorkloadProfile("w3", "lin.b.medium.r1", 1.0, 2.0),
+        WorkloadProfile("w4", "lin.y.huge.r9", 1.0, 2.0),  # sorts before w2's type
+    ))
+    with pytest.raises(UnknownTypeError) as exc:
+        build_model(fleet, abc_catalog(), UtilizationPolicy.uniform(1.0))
+    assert str(exc.value) == "workload 'w2' has current type 'lin.z.huge.r9' not in catalog"
+
+
 def test_exact_boundary_is_feasible():
     # scaled demand exactly equal to capacity is a legitimate assignment
     fleet = one_workload_fleet(cpu=2.0, mem=4.0)

@@ -71,6 +71,26 @@ def test_tie_break_prefers_smaller_capacity_then_key():
         assert solver(model).assignment == {1: 2}
 
 
+@pytest.mark.parametrize("twin, winner", [
+    (InstanceType("lin.z.big.r1", 4.0, 8.0, 0.20), "lin.m.big.r1"),  # dearer: the cheaper big hides it
+    (InstanceType("lin.z.big.r1", 4.0, 8.0, 0.10), "lin.m.big.r1"),  # same capacities and price, larger key
+    (InstanceType("lin.c.big.r1", 4.0, 8.0, 0.10), "lin.c.big.r1"),  # same capacities and price, smaller key
+])
+def test_first_fit_across_dominated_columns_at_every_factor(twin, winner):
+    # the small column is dominated, but only by dearer columns, so it stays reachable
+    catalog = Catalog((InstanceType("lin.m.big.r1", 4.0, 8.0, 0.10), twin,
+                       InstanceType("lin.a.small.r1", 1.0, 2.0, 0.05)))
+    fleet = one_workload_fleet(cpu=0.9, mem=1.8, current_type="lin.a.small.r1")
+    models = [model_for(fleet, catalog, 1.0 + 0.25 * k) for k in range(17)]  # factors 1.0 .. 5.0
+    chosen = []
+    for model, result in zip(models, solve_ascending(models)):
+        assert result == solve_bruteforce(model)
+        chosen.append(None if isinstance(result, Infeasible)
+                      else catalog.entries[result.assignment[1] - 1].key)
+    # 0.9 x 1.0 fits the small column; 0.9 x 1.25 .. 4.25 fits only a big one; 0.9 x 4.5 fits none
+    assert chosen == ["lin.a.small.r1"] + [winner] * 13 + [None] * 3
+
+
 def test_bruteforce_two_rows():
     fleet = Fleet((
         WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),

@@ -1,7 +1,8 @@
-"""Property tests: the incremental solve against the brute-force oracle and against fresh solves,
-and the one coverage rule that validation and every reader of a solution apply."""
+"""Property tests: the incremental solve against the brute-force oracle, a per-row oracle and
+fresh solves, and the one coverage rule that validation and every reader of a solution apply."""
 
 import functools
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from rightsizer import (  # noqa: E402
     Catalog,
     Fleet,
     Infeasible,
+    InfeasibleRow,
     InstanceType,
     UtilizationPolicy,
     WorkloadProfile,
@@ -28,6 +30,7 @@ from rightsizer import (  # noqa: E402
     validate_solution,
 )
 from rightsizer.errors import RowMismatchError  # noqa: E402
+from rightsizer.solve import _staircase  # noqa: E402
 
 # Grids keep cost/cpu/mem ties and demands exactly at capacity common.
 CPU_GRID = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -95,6 +98,77 @@ def test_ascending_solve_matches_bruteforce_on_every_model(models):
 @given(model_sequences(max_columns=30, max_rows=25, max_length=6))
 def test_ascending_solve_matches_a_fresh_solve_of_each_model(models):
     assert list(solve_ascending(models)) == [next(solve_ascending([m])) for m in models]
+
+
+@st.composite
+def crowded_catalogs(draw, max_columns):
+    """Catalogs where dominated columns, exact twins and price ties are common.
+
+    Each column is a fresh draw from the grids, a twin of an earlier column
+    (same capacities and price), or an earlier column's capacities at a drawn
+    price. Keys come from a drawn permutation, so key order is not catalog order.
+    """
+    n = draw(st.integers(1, max_columns))
+    names = draw(st.permutations(range(n)))
+    shapes = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("fresh", "twin", "reprice"))) if shapes else "fresh"
+        if kind == "fresh":
+            shape = (draw(st.sampled_from(CPU_GRID)), draw(st.sampled_from(MEM_GRID)),
+                     draw(st.sampled_from(COST_GRID)))
+        else:
+            shape = draw(st.sampled_from(shapes))
+            if kind == "reprice":
+                shape = (*shape[:2], draw(st.sampled_from(COST_GRID)))
+        shapes.append(shape)
+    return Catalog(tuple(InstanceType(f"os.k{name:02d}.r1", *shape) for name, shape in zip(names, shapes)))
+
+
+def preference(entry):
+    """The shared tie-break, written without the solver: cost, then cpu, mem and key."""
+    return entry.hourly_cost, entry.cpu_capacity, entry.mem_capacity, entry.key
+
+
+def first_fit_by_row(model):
+    """Per-row oracle: the least column by `preference` among those `fits` accepts."""
+    entries = model.catalog.entries
+    chosen = [min((j for j in range(model.column_count) if model.fits(i, j)),
+                  key=lambda j: preference(entries[j]), default=None)
+              for i in range(model.row_count)]
+    missing = tuple(InfeasibleRow(i + 1, w.id, model.scaled_cpu[i], model.scaled_mem[i])
+                    for i, (w, j) in enumerate(zip(model.fleet.workloads, chosen)) if j is None)
+    if missing:
+        return Infeasible(missing)
+    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(chosen)},
+                              math.fsum(entries[j].hourly_cost for j in chosen))
+
+
+@PROPERTY_SETTINGS
+@given(crowded_catalogs(max_columns=40))
+def test_staircase_keeps_exactly_the_columns_no_earlier_column_dominates(catalog):
+    ordered = sorted(catalog.entries, key=preference)
+    kept = [e for place, e in enumerate(ordered) if not any(
+        e.cpu_capacity <= earlier.cpu_capacity and e.mem_capacity <= earlier.mem_capacity
+        for earlier in ordered[:place])]
+    staircase = _staircase(catalog)
+    assert staircase.columns == tuple(catalog.entries.index(e) + 1 for e in kept)
+    assert staircase.cpu == tuple(e.cpu_capacity for e in kept)
+    assert staircase.mem == tuple(e.mem_capacity for e in kept)
+    assert staircase.price == tuple(e.hourly_cost for e in kept)
+
+
+@st.composite
+def crowded_model_sequences(draw):
+    catalog = draw(crowded_catalogs(max_columns=40))
+    fleet = draw(fleets(catalog, max_rows=30))
+    return [build_model(fleet, catalog, policy)
+            for policy in draw(policy_sequences(fleet, max_length=4))]
+
+
+@PROPERTY_SETTINGS
+@given(crowded_model_sequences())
+def test_ascending_solve_matches_a_per_row_oracle_on_crowded_catalogs(models):
+    assert list(solve_ascending(models)) == [first_fit_by_row(m) for m in models]
 
 
 @st.composite
