@@ -53,10 +53,6 @@ class Catalog(Frozen):
     def __contains__(self, key: str) -> bool:
         return key in self._index
 
-    def keys(self):
-        """The entry keys, as a set-like view."""
-        return self._index.keys()
-
     def lookup(self, key: str) -> InstanceType:
         """Return the entry with exactly this key (case-sensitive).
 

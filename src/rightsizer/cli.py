@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import reports
-from .analysis import consolidation_report, project_costs, run_sweep, utilization_report
+from .analysis import HOURS_PER_YEAR, consolidation_report, project_costs, run_sweep, utilization_report
 from .catalog import load_catalog
 from .errors import ConfigError, RightsizerError
 from .metrics import build_fleet, ingest_metrics, load_bindings
@@ -199,8 +199,8 @@ def _add_inputs(parser) -> None:
 
 
 def _add_report_flags(parser) -> None:
-    parser.add_argument("--hours-per-year", type=_hours_per_year, default=8760, dest="hours_per_year",
-                        help="hours used for annual projections (default 8760)")
+    parser.add_argument("--hours-per-year", type=_hours_per_year, default=HOURS_PER_YEAR, dest="hours_per_year",
+                        help=f"hours used for annual projections (default {HOURS_PER_YEAR})")
     parser.add_argument("--format", choices=FORMATS, default="json",
                         help="report rendering (default json)")
 

@@ -198,38 +198,27 @@ class SeriesAccumulator:
         return DemandStats(mean, stddev, min(mean + 2.0 * stddev, 100.0), n)
 
 
-_FLOAT_DIGITS = 53          # significand bits of a double
-_SUBNORMAL_EXPONENT = 1074  # 2**-1074 is the spacing of subnormal doubles
+_FLOAT_DIGITS = 53  # significand bits of a double
 # 100 < 2**7, so a value up to 100 on a grid of 2**-1017 scales below 2**1024,
 # the first power of two past the largest float
 _MAX_GRID_EXPONENT = 1017
 
 
 def _sqrt_of_ratio(p: int, q: int) -> float:
-    """sqrt(p/q) for p >= 0 and q > 0, correctly rounded (ties to even)."""
-    if p == 0:
-        return 0.0
+    """sqrt(p/q) for p >= 0 and q > 0, correctly rounded (ties to even).
 
-    def floor_root(e: int) -> tuple[int, int, int]:
-        # floor(sqrt(p/q * 4**e)), with that scaled radicand as num/den
-        num, den = (p << 2 * e, q) if e >= 0 else (p, q << -2 * e)
-        return math.isqrt(num // den), num, den
-
-    # Pick e so the root has exactly 53 bits; below 2**-1022 the float grid
-    # stops at 2**-1074, so e never exceeds 1074. Scaling by 4**d moves the
-    # floor root's bit length by exactly d, so one correction lands on it.
-    e = min((2 * _FLOAT_DIGITS - p.bit_length() + q.bit_length()) // 2, _SUBNORMAL_EXPONENT)
-    root, num, den = floor_root(e)
-    corrected = min(e + _FLOAT_DIGITS - root.bit_length(), _SUBNORMAL_EXPONENT)
-    if corrected != e:
-        e = corrected
-        root, num, den = floor_root(e)
-    # round to nearest: compare num/den with (root + 1/2)**2
-    odd = 2 * root + 1
-    excess = 4 * num - den * odd * odd
-    if excess > 0 or (excess == 0 and root & 1):
-        root += 1
-    return math.ldexp(root, -e)  # exact: root <= 2**53 on a grid no finer than 2**-1074
+    Rounding to odd (Boldo & Melquiond, IEEE Trans. Computers 57(4), 2008),
+    as `statistics.stdev` does from Python 3.11 on: the root of p/q * 4**-e is
+    taken with 55 or more bits, and its last bit is set when it is inexact.
+    Those two extra bits let the one conversion to float round correctly,
+    also on the subnormal grid.
+    """
+    e = (p.bit_length() - q.bit_length() - 2 * _FLOAT_DIGITS - 3) // 2
+    num, den = (p, q << 2 * e) if e >= 0 else (p << -2 * e, q)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    # int -> float and int / int each round once; math.ldexp would round twice below 2**-1022
+    return float(root << e) if e >= 0 else root / (1 << -e)
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1

@@ -112,11 +112,9 @@ def build_model(fleet: Fleet, catalog: Catalog, policy: UtilizationPolicy) -> As
     Every workload's current type must resolve in the catalog.
     """
     workloads = fleet.workloads
-    if not catalog.keys() >= {w.current_type for w in workloads}:
-        # name the first offender in fleet order
-        for w in workloads:
-            if w.current_type not in catalog:
-                raise UnknownTypeError(f"workload {w.id!r} has current type {w.current_type!r} not in catalog")
+    for w in workloads:
+        if w.current_type not in catalog:
+            raise UnknownTypeError(f"workload {w.id!r} has current type {w.current_type!r} not in catalog")
     factor, default = policy.factors.get, policy.default
     factors = [factor(w.id, default) for w in workloads]
     return AssignmentModel(

@@ -178,10 +178,7 @@ def sweep_spec(result: SweepResult) -> Report:
             "hours_per_year": result.hours_per_year,
             "baseline_hourly": result.baseline_hourly,
             "baseline_annual": result.baseline_annual,
-            "break_even": None if result.break_even is None else {
-                "last_saving_delta": result.break_even.last_saving_delta,
-                "first_exceeding_delta": result.break_even.first_exceeding_delta,
-            },
+            "break_even": None if result.break_even is None else result.break_even._asdict(),
             "cases": [
                 {
                     "delta": c.delta,

@@ -84,21 +84,15 @@ def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ..
     return tuple((e.hourly_cost, e.cpu_capacity, e.mem_capacity, e.key) for e in catalog.entries)
 
 
-class _Staircase(NamedTuple):
-    # The undominated columns in preference order: 1-based catalog column
-    # numbers, their two capacities and their price, as parallel sequences.
-    columns: tuple[int, ...]
-    cpu: tuple[float, ...]
-    mem: tuple[float, ...]
-    price: tuple[float, ...]
-
-
-def _staircase(catalog: Catalog) -> _Staircase:
-    # A column is dropped when an earlier kept column has at least its CPU and
-    # its memory. Any demand that fits it fits that column too, which comes
-    # first, so it is never a first fit. An earlier dropped column is dominated
-    # by an earlier kept one, so checking the kept ones is enough, and of those
-    # only the maximal ones (`frontier`).
+def _staircase(catalog: Catalog) -> tuple[tuple[int, ...], tuple[float, ...],
+                                          tuple[float, ...], tuple[float, ...]]:
+    # The undominated columns in preference order, as four parallel tuples:
+    # 1-based catalog column numbers, CPU, memory and price. A column is
+    # dropped when an earlier kept column has at least its CPU and its memory.
+    # Any demand that fits it fits that column too, which comes first, so it
+    # is never a first fit. An earlier dropped column is dominated by an
+    # earlier kept one, so checking the kept ones is enough, and of those only
+    # the maximal ones (`frontier`).
     order = _column_order(catalog)
     kept: list[int] = []
     frontier: list[tuple[float, float]] = []
@@ -110,7 +104,7 @@ def _staircase(catalog: Catalog) -> _Staircase:
         frontier = [(fc, fm) for fc, fm in frontier if not (fc <= c and fm <= m)]
         frontier.append((c, m))
     price, cpu, mem, _ = zip(*(order[j] for j in kept))
-    return _Staircase(tuple(j + 1 for j in kept), cpu, mem, price)
+    return tuple(j + 1 for j in kept), cpu, mem, price
 
 
 def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSolution | Infeasible]:

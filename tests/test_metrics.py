@@ -385,7 +385,7 @@ def _assert_correctly_rounded_sqrt(root, exact):
         assert exact <= (Fraction(math.nextafter(0.0, 1.0)) / 2) ** 2
         return
     below = (Fraction(math.nextafter(root, 0.0)) + Fraction(root)) / 2
-    above = (Fraction(root) + Fraction(math.nextafter(root, math.inf))) / 2
+    above = Fraction(root) + Fraction(math.ulp(root)) / 2  # also past the largest float
     assert below * below <= exact <= above * above
     if exact in (below * below, above * above):
         assert int(root / math.ulp(root)) % 2 == 0

@@ -1,5 +1,5 @@
 """Property tests: ingest's exact demand stats against `statistics` and across row orders,
-and the line it names for a malformed row."""
+the square root under the standard deviation, and the line ingest names for a malformed row."""
 
 import statistics
 import sys
@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rightsizer import Metric, compute_demand_stats, ingest_metrics  # noqa: E402
 from rightsizer.errors import RowError  # noqa: E402
-from test_metrics import RUN_FAULTS  # noqa: E402
+from rightsizer.metrics import _sqrt_of_ratio  # noqa: E402
+from test_metrics import RUN_FAULTS, _assert_correctly_rounded_sqrt  # noqa: E402
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, derandomize=True)
 HEADER = "workload_id,timestamp,metric,value\n"
@@ -52,6 +53,62 @@ def test_stats_equal_the_statistics_module(values):
     assert stats.stddev_pct == statistics.stdev(values)
     assert stats.sample_count == len(values)
     assert compute_demand_stats(values) == stats
+
+
+def operands(max_bits):
+    """Non-negative integers of a drawn bit length, so short and long ones are both common."""
+    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
+
+
+@st.composite
+def radicands(draw):
+    """(p, q) with p >= 0 and q >= 1, of up to about 2,200 bits each.
+
+    Besides any ratio: ratios of perfect squares, and ratios whose root lies
+    halfway between two floats (normal ones up to the largest float, or
+    subnormal ones), both nudged by a few units of p; and ratios whose root
+    lies near or below the smallest normal float, down to where it rounds to 0.
+    """
+    kind = draw(st.sampled_from(("any", "square", "halfway", "tiny")))
+    if kind == "any":
+        return draw(operands(2200)), draw(operands(2200)) + 1
+    if kind == "tiny":
+        p = draw(operands(2200))
+        return p, (p + draw(operands(200)) + 1) << draw(st.integers(2040, 2160))
+    if kind == "square":
+        root_q = draw(operands(1100).map(lambda b: b + 1) | st.integers(0, 1100).map(lambda k: 1 << k))
+        p, q = draw(operands(1100)) ** 2, root_q ** 2
+    else:
+        # (m + 1/2) * 2**-e is halfway between two floats: normal ones when m
+        # has 53 bits, subnormal ones when m is shorter and e is 1074; m of
+        # all ones rounds up into the next binade, and past the largest float
+        # when e is -971
+        if draw(st.booleans()):
+            bits, e = 53, draw(st.just(-971) | st.integers(-971, 1074))
+        else:
+            bits, e = draw(st.integers(1, 52)), 1074
+        m = draw(st.just((1 << bits) - 1) | st.integers(1 << (bits - 1), (1 << bits) - 1))
+        p, q = (2 * m + 1) ** 2, 4
+        p, q = (p << -2 * e, q) if e < 0 else (p, q << 2 * e)
+        scale = draw(operands(200)) + 1
+        p, q = p * scale, q * scale
+    return max(p + draw(st.integers(-2, 2)), 0), q
+
+
+# at or past halfway from the largest float to 2**1024, a root rounds to 2**1024
+OVERFLOW_RADICAND = Fraction(2 ** 1024 - 2 ** 970) ** 2
+
+
+@settings(PROPERTY_SETTINGS, max_examples=1000)
+@given(radicands())
+def test_square_root_of_any_ratio_is_correctly_rounded(radicand):
+    p, q = radicand
+    exact = Fraction(p, q)
+    if exact >= OVERFLOW_RADICAND:
+        with pytest.raises(OverflowError):
+            _sqrt_of_ratio(p, q)
+    else:
+        _assert_correctly_rounded_sqrt(_sqrt_of_ratio(p, q), exact)
 
 
 # where a series' times start: some series cross the ends of int64

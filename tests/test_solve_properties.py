@@ -150,11 +150,11 @@ def test_staircase_keeps_exactly_the_columns_no_earlier_column_dominates(catalog
     kept = [e for place, e in enumerate(ordered) if not any(
         e.cpu_capacity <= earlier.cpu_capacity and e.mem_capacity <= earlier.mem_capacity
         for earlier in ordered[:place])]
-    staircase = _staircase(catalog)
-    assert staircase.columns == tuple(catalog.entries.index(e) + 1 for e in kept)
-    assert staircase.cpu == tuple(e.cpu_capacity for e in kept)
-    assert staircase.mem == tuple(e.mem_capacity for e in kept)
-    assert staircase.price == tuple(e.hourly_cost for e in kept)
+    columns, cpu, mem, price = _staircase(catalog)
+    assert columns == tuple(catalog.entries.index(e) + 1 for e in kept)
+    assert cpu == tuple(e.cpu_capacity for e in kept)
+    assert mem == tuple(e.mem_capacity for e in kept)
+    assert price == tuple(e.hourly_cost for e in kept)
 
 
 @st.composite
