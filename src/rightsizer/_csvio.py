@@ -9,7 +9,9 @@ raises MalformedRowError naming the 1-based physical line:
   the last line included;
 - the first row equals the loader's header exactly;
 - every data row has as many columns as the header;
-- a numeric field read through `number` is a finite float.
+- a numeric field read through `number` is a finite float;
+- an identifier read through `identifier` holds no control character
+  (below U+0020, or U+007F), so none reaches a report or `model.dat`.
 Loaders check only their own rules on the rows they are given.
 
 The file is read one line at a time and each line is decoded on its own, so
@@ -28,12 +30,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from codecs import BOM_UTF8
 from functools import partial
 from itertools import chain
 from typing import Iterator
 
 from .errors import MalformedRowError
+
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 def _lines(source) -> Iterator[str]:
@@ -98,3 +103,10 @@ def number(line: int, name: str, text: str) -> float:
     if not math.isfinite(value):
         raise MalformedRowError(line, f"{name} {text!r} is not finite")
     return value
+
+
+def identifier(line: int, name: str, text: str) -> str:
+    """The field `text` of column `name`, refused if it holds a control character."""
+    if _CONTROL.search(text):
+        raise MalformedRowError(line, f"{name} {text!r} holds a control character")
+    return text

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._csvio import iter_rows, number
+from ._csvio import identifier, iter_rows, number
 from ._frozen import Frozen
 from .errors import (
     DuplicateKeyError,
@@ -83,6 +83,7 @@ def load_catalog(source) -> Catalog:
         if not _valid_key(key):
             raise MalformedRowError(
                 line_no, f"key {key!r} must have at least {MIN_KEY_SEGMENTS} non-empty dot-separated segments")
+        identifier(line_no, "key", key)
         cpu, mem, cost = (number(line_no, name, text) for name, text in zip(CATALOG_HEADER[1:], fields))
         if cpu <= 0 or mem <= 0 or cost <= 0:
             raise NonPositiveCapacityError(line_no, f"{key!r}: capacities and cost must be positive")

@@ -111,8 +111,10 @@ def _load_model(args):
     return catalog, fleet, build_model(fleet, catalog, policy)
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
+def _write(path: Path, *parts: str) -> None:
+    # parts are written in order and never joined, so a large file is not held twice
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(parts)
 
 
 def _prepare_out(out_dir: Path, report_files, other_outputs: re.Pattern | None = None) -> None:
@@ -177,7 +179,7 @@ def cmd_export_ampl(args) -> int:
     exported = export_ampl(model)
     args.out.mkdir(parents=True, exist_ok=True)
     _write(args.out / "model.mod", exported.model_text)
-    _write(args.out / "model.dat", exported.data_text)
+    _write(args.out / "model.dat", *exported.data_parts)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from itertools import count, islice
 from operator import lt, mul
 from typing import Iterable, Mapping, NamedTuple
 
-from ._csvio import iter_rows
+from ._csvio import identifier, iter_rows
 from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
@@ -275,7 +275,9 @@ def _add_row(grouped: IngestedMetrics, line_no: int, workload_id: str, ts_text: 
              metric_text: str, value_text: str) -> SeriesAccumulator:
     """Check one data row and add it to its series, which it returns.
 
-    This is the only place a metrics data row is rejected.
+    This is the only place a metrics data row is rejected. A workload_id is
+    checked for control characters once, by the row that first names it:
+    every later row of that workload, in a run or not, has the same text.
     """
     if not workload_id:
         raise MalformedRowError(line_no, "empty workload_id")
@@ -294,7 +296,7 @@ def _add_row(grouped: IngestedMetrics, line_no: int, workload_id: str, ts_text: 
         raise ValueOutOfRangeError(line_no, f"value {value_text} outside [0, 100]")
     by_metric = grouped.get(workload_id)
     if by_metric is None:
-        by_metric = grouped[workload_id] = {}
+        by_metric = grouped[identifier(line_no, "workload_id", workload_id)] = {}
     series = by_metric.get(metric)
     if series is None:
         series = by_metric[metric] = SeriesAccumulator()
@@ -334,6 +336,8 @@ def load_bindings(source) -> dict[str, str]:
     for line_no, (workload_id, current_type) in iter_rows(source, BINDINGS_HEADER):
         if not workload_id or not current_type:
             raise MalformedRowError(line_no, "empty field")
+        identifier(line_no, "workload_id", workload_id)
+        identifier(line_no, "current_type", current_type)
         if workload_id in bindings:
             raise DuplicateKeyError(line_no, f"duplicate binding for {workload_id!r}")
         bindings[workload_id] = current_type

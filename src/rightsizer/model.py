@@ -12,7 +12,7 @@ import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._csvio import iter_rows, number
+from ._csvio import identifier, iter_rows, number
 from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
@@ -63,6 +63,7 @@ def load_policy(source, default: float) -> UtilizationPolicy:
     for line_no, (workload_id, delta_text) in iter_rows(source, POLICY_HEADER):
         if not workload_id:
             raise MalformedRowError(line_no, "empty workload_id")
+        identifier(line_no, "workload_id", workload_id)
         delta = number(line_no, "delta", delta_text)
         if not delta >= 1.0:
             raise InvalidPolicyError(f"line {line_no}: utilization factor {delta} for {workload_id!r} is < 1")
@@ -134,8 +135,19 @@ def feasible_set(model: AssignmentModel, row: int) -> list[int]:
 
 
 class AmplExport(NamedTuple):
+    """`model.mod` as one string and `model.dat` as parts to write in order.
+
+    Every line of the cost block is two parts, the row's name and a price
+    row that all rows share, so the M x N block is never one string in
+    memory. `data_text` joins the parts.
+    """
+
     model_text: str
-    data_text: str
+    data_parts: tuple[str, ...]
+
+    @property
+    def data_text(self) -> str:
+        return "".join(self.data_parts)
 
 
 _MODEL_TEXT = """\
@@ -193,7 +205,7 @@ def _param_statement(name: str, pairs: list[tuple[str, float]]) -> str:
 
 
 def export_ampl(model: AssignmentModel) -> AmplExport:
-    """Render the assignment program as model + data text.
+    """Render the assignment program as model text + data parts.
 
     Both texts use LF line endings and are byte-identical across repeated
     exports of the same model, so they can serve as golden artifacts or be
@@ -203,13 +215,7 @@ def export_ampl(model: AssignmentModel) -> AmplExport:
     insts = [_quoted(e.key) for e in model.catalog.entries]
     workloads = model.fleet.workloads
 
-    # every row has the same costs, so the row is formatted once
-    cost_row = " ".join(_num(e.hourly_cost) for e in model.catalog.entries)
-    cost_lines = [f"param cost : {' '.join(insts)} :="]
-    cost_lines += [f"    {name} {cost_row}" for name in servers]
-    cost_lines.append(";")
-
-    parts = [
+    statements = [
         _set_statement("SERV", servers),
         _set_statement("INST", insts),
         _param_statement("cpu_d", [(n, w.cpu_demand) for n, w in zip(servers, workloads)]),
@@ -217,6 +223,12 @@ def export_ampl(model: AssignmentModel) -> AmplExport:
         _param_statement("d", [(n, model.policy.delta_for(w.id)) for n, w in zip(servers, workloads)]),
         _param_statement("cpu_s", [(n, e.cpu_capacity) for n, e in zip(insts, model.catalog.entries)]),
         _param_statement("mem_s", [(n, e.mem_capacity) for n, e in zip(insts, model.catalog.entries)]),
-        "\n".join(cost_lines),
+        f"param cost : {' '.join(insts)} :=",
     ]
-    return AmplExport(model_text=_MODEL_TEXT, data_text="\n\n".join(parts) + "\n")
+    # every row has the same costs, so every cost line shares one price row
+    cost_row = " ".join(_num(e.hourly_cost) for e in model.catalog.entries)
+    parts = ["\n\n".join(statements)]
+    for name in servers:
+        parts += (f"\n    {name} ", cost_row)
+    parts.append("\n;\n")
+    return AmplExport(model_text=_MODEL_TEXT, data_parts=tuple(parts))

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from rightsizer import reports
+from rightsizer import (
+    UtilizationPolicy,
+    build_fleet,
+    build_model,
+    export_ampl,
+    ingest_metrics,
+    load_bindings,
+    load_catalog,
+    reports,
+)
 from rightsizer.cli import MAX_SWEEP_CASES, main, parse_sweep_spec
 from rightsizer.analysis import default_sweep_deltas
 from rightsizer.errors import ConfigError
@@ -332,6 +341,20 @@ def test_export_ampl_files(inputs, tmp_path):
     assert "'w1'" in dat
 
 
+def test_export_ampl_writes_the_exported_texts_byte_for_byte(tmp_path):
+    files = {"catalog": DATA / "catalog.csv", "metrics": DATA / "golden_metrics.csv",
+             "bindings": DATA / "golden_bindings.csv"}
+    out = tmp_path / "out"
+    assert main(["export-ampl", *(f"--{k}={v}" for k, v in files.items()), "--delta", "2.5",
+                 "--out", str(out)]) == 0
+    catalog = load_catalog(files["catalog"].read_bytes())
+    fleet = build_fleet(ingest_metrics(files["metrics"].read_bytes()), catalog,
+                        load_bindings(files["bindings"].read_bytes()))
+    exported = export_ampl(build_model(fleet, catalog, UtilizationPolicy.uniform(2.5)))
+    assert (out / "model.dat").read_bytes() == exported.data_text.encode()
+    assert (out / "model.mod").read_bytes() == exported.model_text.encode()
+
+
 def test_export_ampl_rerun_identical(inputs, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(inputs, "export-ampl", "--out", str(out1)) == 0
@@ -350,6 +373,43 @@ def test_export_ampl_refuses_report_flags(inputs, tmp_path, capsys, flag):
     assert run(inputs, "export-ampl", *flag, "--out", str(tmp_path / "out")) == 1
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# --- control characters in identifiers -----------------------------------------------
+
+# (file, the row added to it, the line that row lands on); each row is quoted, so
+# the csv module hands the character to the loader, and names nothing the run uses
+BAD_IDENTIFIER_ROWS = {
+    "catalog-key": ("catalog.csv", '"lin.d{c}.small.r1",2.0,4.0,0.10', 5),
+    "metrics-workload_id": ("metrics.csv", '"w{c}2",100,cpu,75', 6),
+    "bindings-workload_id": ("bindings.csv", '"w{c}2",lin.a.small.r1', 3),
+    "bindings-current_type": ("bindings.csv", 'w2,"lin.a{c}.small.r1"', 3),
+    "policy-workload_id": ("policy.csv", '"w{c}2",2.0', 3),
+}
+
+
+@pytest.mark.parametrize("char", ["\r", "\x00", "\t", "\x7f"], ids=["CR", "NUL", "TAB", "DEL"])
+@pytest.mark.parametrize("case", sorted(BAD_IDENTIFIER_ROWS))
+def test_an_identifier_with_a_control_character_exits_1_naming_its_line(inputs, tmp_path, capsys, case, char):
+    name, row, line = BAD_IDENTIFIER_ROWS[case]
+    (inputs / "policy.csv").write_text("workload_id,delta\nw1,2.0\n")
+    path = inputs / name
+    path.write_bytes(path.read_bytes() + row.format(c=char).encode() + b"\n")
+    out = tmp_path / "out"
+    assert run(inputs, "optimize", "--policy", str(inputs / "policy.csv"), "--out", str(out)) == 1
+    # Python 3.10's csv module refuses a NUL itself, with its own message
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+    assert not out.exists()
+
+
+def test_an_identifier_may_hold_spaces_and_characters_past_ascii(inputs, tmp_path):
+    workload = "w 2\u00a0\u00e9\u0085"
+    (inputs / "metrics.csv").write_text(METRICS + METRICS.split("\n", 1)[1].replace("w1", workload),
+                                        encoding="utf-8")
+    (inputs / "bindings.csv").write_text(BINDINGS + f"{workload},lin.a.small.r1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(inputs, "export-ampl", "--out", str(out)) == 0
+    assert f"'{workload}'" in (out / "model.dat").read_text(encoding="utf-8")
 
 
 # --- synth --------------------------------------------------------------------------

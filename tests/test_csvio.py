@@ -5,7 +5,7 @@ import io
 import pytest
 
 from rightsizer import ingest_metrics, load_bindings, load_catalog, load_policy
-from rightsizer._csvio import iter_rows
+from rightsizer._csvio import identifier, iter_rows
 from rightsizer.errors import MalformedRowError
 
 
@@ -66,6 +66,36 @@ def test_a_numeric_field_that_is_not_finite_names_its_line(loader, data, message
     with pytest.raises(MalformedRowError) as exc:
         load(data)
     assert str(exc.value) == f"line 2: {message} is not finite"
+
+
+@pytest.mark.parametrize("char", ["\x00", "\t", "\n", "\r", "\x1f", "\x7f"])
+def test_identifier_refuses_a_control_character(char):
+    text = f"w{char}1"
+    with pytest.raises(MalformedRowError) as exc:
+        identifier(7, "workload_id", text)
+    assert str(exc.value) == f"line 7: workload_id {text!r} holds a control character"
+
+
+@pytest.mark.parametrize("text", [" ", "w 1", "~", "\x80", "\x85", "\u00a0", "\u00e9", "\u2028"])
+def test_identifier_passes_any_other_text(text):
+    assert identifier(7, "workload_id", text) is text
+
+
+# a TAB on line 3 of each loader's identifier fields; the csv module leaves it to the loader
+@pytest.mark.parametrize("loader, data, message", [
+    ("catalog", b"key,cpu_ecu,mem_gib,cost_per_hour\nlin.a.small.r1,2,4,0.1\nlin.b\t.medium.r1,4,8,0.2\n",
+     "key 'lin.b\\t.medium.r1'"),
+    ("metrics", b"workload_id,timestamp,metric,value\nw1,100,cpu,10\nw\t2,100,cpu,10\n", "workload_id 'w\\t2'"),
+    ("bindings", b"workload_id,current_type\nw1,lin.a.small.r1\nw\t2,lin.a.small.r1\n", "workload_id 'w\\t2'"),
+    ("bindings", b"workload_id,current_type\nw1,lin.a.small.r1\nw2,lin.a.small.r1\t\n",
+     "current_type 'lin.a.small.r1\\t'"),
+    ("policy", b"workload_id,delta\nw1,2\n\tw2,2\n", "workload_id '\\tw2'"),
+])
+def test_each_loader_refuses_an_identifier_with_a_control_character(loader, data, message):
+    load, _ = LOADERS[loader]
+    with pytest.raises(MalformedRowError) as exc:
+        load(data)
+    assert str(exc.value) == f"line 3: {message} holds a control character"
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))

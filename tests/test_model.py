@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -263,6 +264,36 @@ def test_export_is_deterministic():
     second = export_ampl(model)
     assert first.model_text.encode() == second.model_text.encode()
     assert first.data_text.encode() == second.data_text.encode()
+
+
+def test_export_cost_lines_share_one_price_row():
+    fleet = Fleet(tuple(WorkloadProfile(f"w{k}", "lin.a.small.r1", 1.0, 2.0) for k in range(1, 4)))
+    exported = export_ampl(model_for(fleet, abc_catalog(), 1.5))
+    head, *lines, tail = exported.data_parts
+    names, prices = lines[0::2], lines[1::2]
+    assert names == ["\n    'w1' ", "\n    'w2' ", "\n    'w3' "]
+    assert prices[0] == "0.1 0.2 0.4" and all(price is prices[0] for price in prices)
+    assert head.endswith("param cost : 'lin.a.small.r1' 'lin.b.medium.r1' 'lin.c.large.r1' :=")
+    assert tail == "\n;\n"
+    assert "".join(exported.data_parts) == exported.data_text
+
+
+def test_export_memory_grows_with_rows_plus_columns_not_the_cost_block():
+    # 2000 rows x 400 types: the file's cost block is over 6 MB, and an export
+    # that joined it, even once, would allocate at least that much
+    catalog = Catalog(tuple(InstanceType(f"lin.t{j}.size.r1", 2.0 + j, 4.0 + j, 0.0123456 + j * 1e-7)
+                            for j in range(400)))
+    fleet = Fleet(tuple(WorkloadProfile(f"w{i}", "lin.t0.size.r1", 1.0 + i * 1e-4, 2.0)
+                        for i in range(2000)))
+    model = model_for(fleet, catalog, 1.5)
+    tracemalloc.start()
+    try:
+        exported = export_ampl(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert len(exported.data_text) > 6e6
 
 
 def test_export_uses_lf_only():
