@@ -1,4 +1,10 @@
-"""The one reader of CSV inputs: every loader takes its rows from `iter_rows`.
+"""The one CSV boundary, both ways: every loader takes its rows from
+`iter_rows`, and every CSV the package writes comes from `csv_text`.
+
+`csv_text` writes the dialect `iter_rows` reads: the csv module's default,
+with LF line ends. It quotes a field that holds a comma, a quote or a line
+break, so `iter_rows` reads back every field it wrote but one with a line
+break, which no loader accepts anyway.
 
 The rules all input files share live here, and a breach of any of them
 raises MalformedRowError naming the 1-based physical line:
@@ -34,7 +40,7 @@ import re
 from codecs import BOM_UTF8
 from functools import partial
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedRowError
 
@@ -92,6 +98,15 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
         # the reader counts the lines it has been given, and this one it was not
         # (a text stream can fail on its first line, before the reader exists)
         raise MalformedRowError(reader.line_num + 1 if reader else 1, "not valid UTF-8") from None
+
+
+def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
+    """The header and then each row as CSV lines; None is an empty field, other values their `str`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def number(line: int, name: str, text: str) -> float:

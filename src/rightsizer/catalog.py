@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._csvio import identifier, iter_rows, number
+from ._csvio import csv_text, identifier, iter_rows, number
 from ._frozen import Frozen
 from .errors import (
     DuplicateKeyError,
@@ -98,7 +98,5 @@ def load_catalog(source) -> Catalog:
 
 def dump_catalog(catalog: Catalog) -> bytes:
     """Serialize a catalog back to CSV; loading the result reproduces it."""
-    lines = [",".join(CATALOG_HEADER)]
-    for e in catalog.entries:
-        lines.append(f"{e.key},{e.cpu_capacity!r},{e.mem_capacity!r},{e.hourly_cost!r}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # a float's str is its repr, which reads back as the same float
+    return csv_text(CATALOG_HEADER, catalog.entries).encode()

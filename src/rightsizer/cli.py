@@ -14,7 +14,16 @@ import sys
 from pathlib import Path
 
 from . import reports
-from .analysis import HOURS_PER_YEAR, consolidation_report, project_costs, run_sweep, utilization_report
+from .analysis import (
+    DEFAULT_SWEEP_SPEC,
+    HOURS_PER_YEAR,
+    MAX_SWEEP_CASES,  # noqa: F401  (re-exported for callers of rightsizer.cli)
+    consolidation_report,
+    parse_sweep_spec,
+    project_costs,
+    run_sweep,
+    utilization_report,
+)
 from .catalog import load_catalog
 from .errors import ConfigError, RightsizerError
 from .metrics import build_fleet, ingest_metrics, load_bindings
@@ -27,8 +36,6 @@ EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
 DEFAULT_DELTA = 1.5
-DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
-MAX_SWEEP_CASES = 10_000  # a spec asking for more is refused before its factors are built
 FORMATS = ("json", "text", "csv")
 _EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
 # Each report as (file stem, plot CSV). The plot CSV is written in every
@@ -39,32 +46,6 @@ _OPTIMIZE_REPORTS = (_ASSIGNMENT, ("cost_report", "plot_costs.csv"),
                      ("consolidation_report", "plot_flow.csv"))
 _SWEEP_REPORT = ("sweep_report", "plot_annual_cost.csv")
 _CASE_FILE = re.compile(r"case-[0-9]+\.json")
-
-
-def parse_sweep_spec(spec: str) -> tuple[float, ...]:
-    """Expand 'start:end:step' into an inclusive, strictly increasing factor list."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"sweep spec {spec!r} must be start:end:step")
-    try:
-        start, end, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"sweep spec {spec!r} has a non-numeric part") from None
-    if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step)):
-        raise ConfigError(f"sweep spec {spec!r} has a non-finite part")
-    if start < 1.0:
-        raise ConfigError("sweep start must be >= 1 (utilization factors are >= 1)")
-    if step <= 0.0:
-        raise ConfigError("sweep step must be > 0")
-    if end < start:
-        raise ConfigError("sweep end must be >= start")
-    steps = (end - start) / step + 1e-9
-    if not steps < MAX_SWEEP_CASES:  # also catches an overflow to inf
-        raise ConfigError(f"sweep spec {spec!r} asks for more than {MAX_SWEEP_CASES} cases")
-    factors = tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
-    if len(set(factors)) < len(factors):
-        raise ConfigError(f"sweep spec {spec!r} has factors that are equal once rounded to 10 decimals")
-    return factors
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,12 +9,11 @@ report is also its plot CSV.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
+from ._csvio import csv_text
 from .analysis import (
     ConsolidationReport,
     CostReport,
@@ -70,11 +69,7 @@ def render_text(report: Report) -> str:
 def render_csv(report: Report) -> str:
     """The CSV columns' headers, then one line of raw values per row."""
     columns = [c for c in report.columns if c.csv is not None]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([c.csv for c in columns])
-    writer.writerows([c.get(row) for c in columns] for row in report.rows)
-    return buf.getvalue()
+    return csv_text([c.csv for c in columns], ([c.get(row) for c in columns] for row in report.rows))
 
 
 def _percent(fraction: float) -> str:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from ._csvio import csv_text
 from ._frozen import Frozen
 from .catalog import Catalog
+from .metrics import BINDINGS_HEADER, METRICS_HEADER
 
 BASE_TIMESTAMP = 1_704_067_200  # fixed epoch anchor keeps outputs reproducible
 SAMPLE_INTERVAL = 300           # seconds between consecutive samples
@@ -53,13 +55,13 @@ def generate(spec: SynthSpec) -> SynthOutput:
     """
     rng = random.Random(spec.seed)
     width = len(str(spec.workload_count))
-    metric_lines = ["workload_id,timestamp,metric,value"]
-    binding_lines = ["workload_id,current_type"]
+    metric_lines = [csv_text(METRICS_HEADER, ())]
+    bindings = []
     pool = _binding_pool(spec.catalog)
     for k in range(1, spec.workload_count + 1):
         workload_id = f"w{k:0{width}d}"
         current = pool[rng.randrange(len(pool))]
-        binding_lines.append(f"{workload_id},{current.key}")
+        bindings.append((workload_id, current.key))
         # overprovisioned-fleet telemetry: low means, per-workload spread
         series = (
             ("cpu", rng.uniform(5.0, 45.0), rng.uniform(1.0, 9.0)),
@@ -69,8 +71,12 @@ def generate(spec: SynthSpec) -> SynthOutput:
             for s in range(spec.samples_per_series):
                 value = min(max(rng.gauss(mean, spread), 0.0), 100.0)
                 timestamp = BASE_TIMESTAMP + s * SAMPLE_INTERVAL
-                metric_lines.append(f"{workload_id},{timestamp},{metric},{value:.2f}")
+                # Joined by hand, not through csv_text, for two reasons: no
+                # field can need quoting (a generated id, an int, a fixed
+                # metric name, a :.2f number), and csv.writer made generate
+                # 1.5x slower at 300 workloads x 288 samples.
+                metric_lines.append(f"{workload_id},{timestamp},{metric},{value:.2f}\n")
     return SynthOutput(
-        metrics_csv=("\n".join(metric_lines) + "\n").encode("utf-8"),
-        bindings_csv=("\n".join(binding_lines) + "\n").encode("utf-8"),
+        metrics_csv="".join(metric_lines).encode("utf-8"),
+        bindings_csv=csv_text(BINDINGS_HEADER, bindings).encode("utf-8"),
     )

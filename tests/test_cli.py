@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,14 +8,19 @@ from pathlib import Path
 import pytest
 
 from rightsizer import (
+    Infeasible,
     UtilizationPolicy,
     build_fleet,
     build_model,
+    consolidation_report,
     export_ampl,
     ingest_metrics,
     load_bindings,
     load_catalog,
+    project_costs,
     reports,
+    solve_exact,
+    utilization_report,
 )
 from rightsizer.cli import MAX_SWEEP_CASES, main, parse_sweep_spec
 from rightsizer.analysis import default_sweep_deltas
@@ -434,6 +440,44 @@ def test_synth_binding_count(tmp_path):
 def test_synth_missing_catalog_is_input_error(tmp_path):
     assert main(["synth", "--catalog", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def test_synth_then_optimize_on_keys_that_need_quoting(tmp_path):
+    # keys with a comma, a leading and inner quote, a space, non-ASCII and U+0085
+    catalog_path = DATA / "catalog_quoted_keys.csv"
+    synth = tmp_path / "synth"
+    assert main(["synth", "--catalog", str(catalog_path), "--seed", "5",
+                 "--count", "30", "--samples", "4", "--out", str(synth)]) == 0
+    out = tmp_path / "out"
+    code = main(["optimize", "--catalog", str(catalog_path), "--metrics", str(synth / "metrics.csv"),
+                 "--bindings", str(synth / "bindings.csv"), "--delta", "1.5", "--format", "csv",
+                 "--out", str(out)])
+    assert code in (0, 2)
+    assert b'"' in (out / "assignment.csv").read_bytes()
+
+    # the reports the run wrote, built in process
+    catalog = load_catalog(catalog_path.read_bytes())
+    fleet = build_fleet(ingest_metrics((synth / "metrics.csv").read_bytes()), catalog,
+                        load_bindings((synth / "bindings.csv").read_bytes()))
+    result = solve_exact(build_model(fleet, catalog, UtilizationPolicy.uniform(1.5)))
+    if isinstance(result, Infeasible):
+        expected = {"assignment.csv": reports.infeasible_spec(result, 1.5)}
+    else:
+        cost = reports.cost_spec(project_costs(fleet, catalog, result))
+        utilization = reports.utilization_spec(utilization_report(fleet, catalog, result))
+        flow = reports.consolidation_spec(consolidation_report(fleet, catalog, result))
+        expected = {"assignment.csv": reports.assignment_spec(fleet, catalog, result, 1.5),
+                    "cost_report.csv": cost, "plot_costs.csv": cost,
+                    "utilization_report.csv": utilization, "plot_utilization.csv": utilization,
+                    "consolidation_report.csv": flow, "plot_flow.csv": flow}
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, report in expected.items():
+        columns = [c for c in report.columns if c.csv is not None]
+        cells = [[c.csv for c in columns]]
+        cells += [["" if (value := c.get(row)) is None else str(value) for c in columns]
+                  for row in report.rows]
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == cells, name
 
 
 # --- argparse behaviour ----------------------------------------------------------------

@@ -90,3 +90,14 @@ def test_single_entry_catalog_falls_back_to_itself():
     output = generate(SynthSpec(1, 3, 2, catalog))
     for line in output.bindings_csv.decode().strip().splitlines()[1:]:
         assert line.endswith("lin.only.one.r1")
+
+
+def test_bindings_read_back_on_keys_that_need_quoting():
+    # keys with a comma, a leading and inner quote, a space, non-ASCII and U+0085
+    catalog = load_catalog(DATA.joinpath("catalog_quoted_keys.csv").read_bytes())
+    output = generate(SynthSpec(3, 40, 2, catalog))
+    bindings = load_bindings(output.bindings_csv)
+    assert list(bindings) == [f"w{k:02d}" for k in range(1, 41)]
+    assert all(key in catalog for key in bindings.values())
+    assert any("," in key for key in bindings.values())
+    assert any(key.startswith('"') for key in bindings.values())
