@@ -3,11 +3,11 @@
 Hourly totals are summed with math.fsum, so they do not depend on the
 order of the fleet. Annual figures are hourly figures times a configurable
 hours-per-year (8760 by default); one too large for a float is a
-ConfigError. The sweep builds one model per
-utilization factor and solves them in ascending order in one pass, each row
-resuming its cheapest-first scan where the previous factor left it, and
-brackets the break-even point where the optimized fleet's projected annual
-cost first exceeds the baseline.
+ConfigError. The sweep builds one model at the factor 1 and solves it at
+each utilization factor in ascending order in one pass, each row resuming
+its cheapest-first scan where the previous factor left it, and brackets
+the break-even point where the optimized fleet's projected annual cost
+first exceeds the baseline.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .metrics import Fleet
 from .model import UtilizationPolicy, build_model
-from .solve import AssignmentSolution, Infeasible, assigned_types, solve_ascending
+from .solve import AssignmentSolution, Infeasible, assigned_types, solve_sweep
 
 HOURS_PER_YEAR = 8760
 DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
@@ -146,17 +146,17 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
               hours_per_year: int = HOURS_PER_YEAR) -> SweepResult:
     """Solve one case per utilization factor with a uniform policy.
 
-    The cases are built one at a time and solved by one `solve_ascending`
-    pass, so only one model is alive at a time and each row's scan over the
-    columns resumes where the previous factor left it; every case equals
-    `solve_exact` on its own model. Factors must be strictly increasing and
-    all >= 1; the 31-case default covers 1.0..4.0 in 0.1 steps. Cases with
-    unplaceable workloads record the offending ids and no totals, without
-    aborting the sweep; a workload that fits no column stays unplaceable at
-    every larger factor. The break-even
-    bracket is the pair of consecutive feasible factors between which
-    total_annual first exceeds baseline_annual; it is absent when the
-    baseline is never exceeded or is exceeded from the first feasible case.
+    One model is built, at the factor 1, and `solve_sweep` solves it at
+    every factor in one pass, each row's scan over the columns resuming
+    where the previous factor left it; every case equals `solve_exact` on
+    the model built at its own factor. Factors must be strictly increasing
+    and all >= 1; the 31-case default covers 1.0..4.0 in 0.1 steps. Cases
+    with unplaceable workloads record the offending ids and no totals,
+    without aborting the sweep; a workload that fits no column stays
+    unplaceable at every larger factor. The break-even bracket is the pair
+    of consecutive feasible factors between which total_annual first
+    exceeds baseline_annual; it is absent when the baseline is never
+    exceeded or is exceeded from the first feasible case.
     """
     sweep = default_sweep_deltas() if deltas is None else tuple(deltas)
     if not sweep:
@@ -172,8 +172,8 @@ def run_sweep(fleet: Fleet, catalog: Catalog, deltas: Sequence[float] | None = N
     baseline_annual = _annual(baseline_hourly, hours_per_year)
 
     cases = []
-    models = (build_model(fleet, catalog, UtilizationPolicy.uniform(delta)) for delta in sweep)
-    for delta, result in zip(sweep, solve_ascending(models)):
+    model = build_model(fleet, catalog, UtilizationPolicy.uniform(1.0))
+    for delta, result in zip(sweep, solve_sweep(model, sweep)):
         if isinstance(result, Infeasible):
             cases.append(SweepCase(
                 delta, None, None, tuple(r.workload_id for r in result.rows), None))

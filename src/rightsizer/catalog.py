@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._csvio import csv_text, identifier, iter_rows, number
+from ._csvio import _CONTROL, csv_text, identifier, iter_rows, number
 from ._frozen import Frozen
 from .errors import (
     DuplicateKeyError,
@@ -45,6 +45,8 @@ class Catalog(Frozen):
         index = {e.key: e for e in entries}
         if len(index) != len(entries):
             raise ValueError("catalog keys must be unique")
+        for key in filter(_CONTROL.search, index):
+            raise ValueError(f"catalog key {key!r} holds a control character")
         self._set(entries=entries, _index=index)
 
     def __len__(self) -> int:

@@ -15,7 +15,7 @@ from itertools import count, islice
 from operator import lt, mul
 from typing import Iterable, Mapping, NamedTuple
 
-from ._csvio import identifier, iter_rows
+from ._csvio import _CONTROL, identifier, iter_rows
 from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
@@ -65,6 +65,11 @@ class Fleet(Frozen):
             raise ValueError("fleet must contain at least one workload")
         if len({w.id for w in workloads}) != len(workloads):
             raise ValueError("workload ids must be unique")
+        for w in workloads:
+            if _CONTROL.search(w.id):
+                raise ValueError(f"workload id {w.id!r} holds a control character")
+            if not (w.cpu_demand >= 0 and w.mem_demand >= 0):
+                raise ValueError(f"workload {w.id!r} has a demand that is negative or not a number")
         self._set(workloads=workloads)
 
     def __len__(self) -> int:

@@ -2,12 +2,11 @@
 
 Every capacity constraint couples a cell only to its own row and the
 one-type-per-row constraint is per-row too, so the global cost minimum
-decomposes into independent per-row choices. `solve_ascending` exploits
-that for a sequence of models (a sweep), carrying each row's place in the
-column order from one model to the next; `solve_exact` is the same path
-for one model. Both scan only the undominated columns: a column with no
-more CPU and no more memory than one that comes earlier in the preference
-order can never be a row's first fit, so skipping it changes no result.
+decomposes into independent per-row choices. `solve_sweep` solves one
+model under a sequence of factors, carrying each row's place in the column
+order from one factor to the next; `solve_exact` is its one-factor case.
+It scans only the undominated columns: a column with no more CPU and no
+more memory than one earlier in the preference order is never a first fit.
 `solve_bruteforce` deliberately does none of this and enumerates candidate
 assignments over `fits` wholesale, which makes it a usable oracle for both.
 """
@@ -107,48 +106,43 @@ def _staircase(catalog: Catalog) -> tuple[tuple[int, ...], tuple[float, ...],
     return tuple(j + 1 for j in kept), cpu, mem, price
 
 
-def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSolution | Infeasible]:
-    """Solve each model in turn; yield for each exactly what solving it alone gives.
+def solve_sweep(model: AssignmentModel, factors: Iterable[float]) -> Iterator[AssignmentSolution | Infeasible]:
+    """For each factor in turn, solve `model` with every scaled demand times that factor.
 
-    Row-separability makes the per-row argmin the global optimum. Each row
-    takes the first column that fits in the shared tie-break order, which
-    is a strict order because catalog keys are unique. When any row has no
-    feasible column the result is Infeasible, listing every such row.
+    Each result is exactly what `solve_exact` gives on the model whose
+    scaled demands are `scaled * factor`, one float product each. Each row
+    takes the first column that fits in the shared tie-break order, a strict
+    order because catalog keys are unique; row-separability makes that the
+    global optimum. When any row fits no column the result is Infeasible,
+    listing every such row.
 
-    The scan visits only undominated columns. A column is dominated when an
-    earlier column in that order has at least its CPU and its memory; every
-    demand that fits it fits the earlier one, so it is never the first fit
-    and skipping it is exact. The kept columns are found once per catalog,
-    and the scan compares demands to their capacities with the same `<=` as
-    `AssignmentModel.fits`.
+    The scan skips dominated columns: a column with no more CPU and no more
+    memory than an earlier one in that order is never a first fit. It tests
+    the kept ones with the same `<=` as `AssignmentModel.fits`.
 
-    A row resumes its scan at the column it took in the previous model: a
-    column refused at some demand is refused at any larger one. A row whose
-    scaled cpu or mem went down, and every row after a change of catalog or
-    fleet size, scans from the cheapest column again. So factors that only
-    grow, as in a sweep, cost each row one pass over the columns in all.
+    A row resumes its scan where the previous factor left it. No scaled
+    demand is negative (`Fleet` refuses a negative demand, and a policy a
+    factor below 1), so when `0 < previous <= factor` no demand went down,
+    and a column refused at some demand is refused at any larger one. Any
+    other factor, NaN included, starts every row at the cheapest column.
     """
-    catalog, start = None, []
-    for model in models:
-        cpu, mem = model.scaled_cpu, model.scaled_mem
-        if model.catalog is not catalog:
-            catalog = model.catalog
-            columns, cap_cpu, cap_mem, price = _staircase(catalog)
-            n = len(columns)
-            start = []
-        if model.row_count != len(start):
-            start = [0] * model.row_count
-            last_cpu, last_mem = cpu, mem
+    columns, cap_cpu, cap_mem, price = _staircase(model.catalog)
+    n = len(columns)
+    rows = tuple(zip(model.fleet.workloads, model.scaled_cpu, model.scaled_mem))
+    previous = math.nan  # compares false, so the first factor starts every row afresh
+    for factor in factors:
+        if not 0 < previous <= factor:
+            start = [0] * len(rows)
+        previous = factor
         missing: list[InfeasibleRow] = []
-        for i, w in enumerate(model.fleet.workloads):
-            c, m = cpu[i], mem[i]
-            k = start[i] if c >= last_cpu[i] and m >= last_mem[i] else 0
+        for i, (w, cpu, mem) in enumerate(rows):
+            c, m = cpu * factor, mem * factor
+            k = start[i]
             while k < n and not (c <= cap_cpu[k] and m <= cap_mem[k]):
                 k += 1
             start[i] = k
             if k == n:
                 missing.append(InfeasibleRow(i + 1, w.id, c, m))
-        last_cpu, last_mem = cpu, mem
         if missing:
             yield Infeasible(tuple(missing))
         else:
@@ -158,11 +152,8 @@ def solve_ascending(models: Iterable[AssignmentModel]) -> Iterator[AssignmentSol
 
 
 def solve_exact(model: AssignmentModel) -> AssignmentSolution | Infeasible:
-    """Pick the cheapest feasible column for every row independently.
-
-    The one-model case of `solve_ascending`; see there for the rule.
-    """
-    return next(solve_ascending([model]))
+    """Pick the cheapest feasible column for every row independently; see `solve_sweep`."""
+    return next(solve_sweep(model, (1.0,)))
 
 
 def solve_bruteforce(model: AssignmentModel,
@@ -172,7 +163,7 @@ def solve_bruteforce(model: AssignmentModel,
     Raises BudgetExceededError when N^M candidate assignments exceed the
     budget. The best is the least by (total, per-row column order tuples in
     row order), so the enumeration order cannot change it, and the tie-break
-    matches the per-row first fit of solve_ascending.
+    matches the per-row first fit of solve_sweep.
     """
     m, n = model.row_count, model.column_count
     candidates = n ** m

@@ -279,7 +279,11 @@ def test_sweep_rerun_in_another_format_replaces_its_report(inputs, tmp_path):
 
 
 def test_parse_sweep_spec_matches_default():
-    assert parse_sweep_spec("1.0:4.0:0.1") == default_sweep_deltas()
+    assert default_sweep_deltas() == (
+        1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9,
+        2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9,
+        3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9,
+        4.0)
     assert parse_sweep_spec("1.0:1.0:0.1") == (1.0,)
     with pytest.raises(ConfigError):
         parse_sweep_spec("0.5:2.0:0.1")

@@ -106,6 +106,10 @@ def test_catalog_checks_its_entries():
         Catalog(())
     with pytest.raises(ValueError, match=exact("catalog keys must be unique")):
         Catalog(ABC_ENTRIES + (InstanceType(ABC_ENTRIES[0].key, 1.0, 1.0, 1.0),))
+    # built in code, a CR in a key or a workload id would otherwise reach model.dat through export_ampl
+    for key in ("lin.a\r.r1", "lin.\x00.r1", "lin.a.r1\x7f"):
+        with pytest.raises(ValueError, match=exact(f"catalog key {key!r} holds a control character")):
+            Catalog(ABC_ENTRIES + (InstanceType(key, 1.0, 1.0, 1.0),))
 
 
 def test_fleet_checks_its_workloads():
@@ -114,6 +118,14 @@ def test_fleet_checks_its_workloads():
     w = WorkloadProfile("w1", "lin.a.small.r1", 1.0, 2.0)
     with pytest.raises(ValueError, match=exact("workload ids must be unique")):
         Fleet((w, w._replace(cpu_demand=0.5)))
+    for workload_id in ("w\r1", "w\t1", "\x1f"):
+        with pytest.raises(ValueError, match=exact(f"workload id {workload_id!r} holds a control character")):
+            Fleet((w, w._replace(id=workload_id)))
+    for demands in ({"cpu_demand": -1e-300}, {"mem_demand": -math.inf}, {"mem_demand": math.nan}):
+        with pytest.raises(ValueError, match=exact("workload 'w2' has a demand that is negative or not a number")):
+            Fleet((w, w._replace(id="w2", **demands)))
+    # zero demands, a negative zero and an infinite demand are allowed
+    Fleet((w._replace(cpu_demand=0.0, mem_demand=-0.0), w._replace(id="w2", cpu_demand=math.inf)))
 
 
 @pytest.mark.parametrize("default, factors, message", [

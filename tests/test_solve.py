@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -14,9 +15,9 @@ from rightsizer import (
     Violation,
     WorkloadProfile,
     build_model,
-    solve_ascending,
     solve_bruteforce,
     solve_exact,
+    solve_sweep,
     validate_solution,
 )
 from rightsizer.errors import BudgetExceededError
@@ -81,14 +82,38 @@ def test_first_fit_across_dominated_columns_at_every_factor(twin, winner):
     catalog = Catalog((InstanceType("lin.m.big.r1", 4.0, 8.0, 0.10), twin,
                        InstanceType("lin.a.small.r1", 1.0, 2.0, 0.05)))
     fleet = one_workload_fleet(cpu=0.9, mem=1.8, current_type="lin.a.small.r1")
-    models = [model_for(fleet, catalog, 1.0 + 0.25 * k) for k in range(17)]  # factors 1.0 .. 5.0
+    factors = [1.0 + 0.25 * k for k in range(17)]  # 1.0 .. 5.0
     chosen = []
-    for model, result in zip(models, solve_ascending(models)):
-        assert result == solve_bruteforce(model)
+    for factor, result in zip(factors, solve_sweep(model_for(fleet, catalog, 1.0), factors)):
+        assert result == solve_bruteforce(model_for(fleet, catalog, factor))
         chosen.append(None if isinstance(result, Infeasible)
                       else catalog.entries[result.assignment[1] - 1].key)
     # 0.9 x 1.0 fits the small column; 0.9 x 1.25 .. 4.25 fits only a big one; 0.9 x 4.5 fits none
     assert chosen == ["lin.a.small.r1"] + [winner] * 13 + [None] * 3
+
+
+def test_sweep_starts_every_row_afresh_after_a_nan_factor():
+    fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 1.5, 3.0),
+                   WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0)))
+    catalog = abc_catalog()
+    cases = list(solve_sweep(model_for(fleet, catalog, 1.0), [1.0, math.nan, 1.5, 2.0]))
+    # NaN demands fit no column, so every row's scan ran off the end at the NaN factor
+    assert isinstance(cases[1], Infeasible)
+    assert [(r.row, r.workload_id) for r in cases[1].rows] == [(1, "w1"), (2, "w2")]
+    assert all(math.isnan(r.cpu_required) and math.isnan(r.mem_required) for r in cases[1].rows)
+    assert [cases[0], *cases[2:]] == [solve_exact(model_for(fleet, catalog, f)) for f in (1.0, 1.5, 2.0)]
+
+
+def test_sweep_starts_every_row_afresh_after_a_factor_that_is_not_positive():
+    # a zero demand times -inf is NaN, which fits no column, and times 1 fits the cheapest one
+    model = model_for(one_workload_fleet(cpu=0.0, mem=0.0), abc_catalog(), 1.0)
+    first, second = solve_sweep(model, [-math.inf, 1.0])
+    assert [r.workload_id for r in first.rows] == ["w1"]
+    assert second == solve_exact(model) == AssignmentSolution({1: 1}, 0.10)
+
+
+def test_sweep_over_no_factors_yields_nothing():
+    assert list(solve_sweep(model_for(one_workload_fleet(), abc_catalog(), 1.0), [])) == []
 
 
 def test_bruteforce_two_rows():
@@ -175,13 +200,6 @@ def test_exact_matches_bruteforce_on_random_models():
         exact = solve_exact(model)
         brute = solve_bruteforce(model)
         assert exact == brute
-
-
-def test_ascending_solve_starts_over_on_another_catalog_or_fleet_size():
-    # consecutive random models rarely share a catalog, and often share a row count
-    rng = random.Random(35)
-    models = [random_trial_model(rng) for _ in range(200)]
-    assert list(solve_ascending(models)) == [solve_bruteforce(m) for m in models]
 
 
 def test_total_cost_monotone_in_factor():

@@ -1,5 +1,6 @@
-"""Property tests: the incremental solve against the brute-force oracle, a per-row oracle and
-fresh solves, and the one coverage rule that validation and every reader of a solution apply."""
+"""Property tests: the sweep solve against the brute-force oracle, a per-row oracle and
+fresh solves at each factor, and the one coverage rule that validation and every reader
+of a solution apply."""
 
 import functools
 import math
@@ -23,9 +24,9 @@ from rightsizer import (  # noqa: E402
     consolidation_report,
     project_costs,
     run_sweep,
-    solve_ascending,
     solve_bruteforce,
     solve_exact,
+    solve_sweep,
     utilization_report,
     validate_solution,
 )
@@ -67,37 +68,50 @@ def fleets(draw, catalog, max_rows, min_fraction=0.0):
 
 
 @st.composite
-def policy_sequences(draw, fleet, max_length):
-    """Policies whose per-workload factors move up, down and not at all between models.
-
-    The drawn sequence is followed by its reverse and a repeat of its first
-    policy, so every sequence holds descending and repeated factors.
-    """
+def policies(draw, fleet):
+    """A drawn default factor, and drawn factors of their own for some workloads."""
     ids = [w.id for w in fleet.workloads]
-    drawn = [UtilizationPolicy(draw(factors), {
+    return UtilizationPolicy(draw(factors), {
         i: draw(factors) for i in draw(st.lists(st.sampled_from(ids), unique=True))})
-        for _ in range(draw(st.integers(1, max_length)))]
+
+
+@st.composite
+def factor_sequences(draw, max_length):
+    """Sweep factors that move up, down and not at all from one case to the next.
+
+    The drawn factors are followed by their reverse and a repeat of the
+    first one, so every sequence holds descending and repeated factors.
+    """
+    drawn = draw(st.lists(factors, min_size=1, max_size=max_length))
     return drawn + drawn[::-1] + drawn[:1]
 
 
 @st.composite
-def model_sequences(draw, max_columns, max_rows, max_length):
-    catalog = draw(catalogs(max_columns))
+def swept_models(draw, catalog_strategy, max_rows, max_length):
+    """One model with a per-workload policy, and the factors to sweep it over."""
+    catalog = draw(catalog_strategy)
     fleet = draw(fleets(catalog, max_rows))
-    return [build_model(fleet, catalog, policy)
-            for policy in draw(policy_sequences(fleet, max_length))]
+    return build_model(fleet, catalog, draw(policies(fleet))), draw(factor_sequences(max_length))
+
+
+def scaled(model, factor):
+    """`model` with every scaled demand times `factor`, one float product each."""
+    return model._replace(scaled_cpu=tuple(c * factor for c in model.scaled_cpu),
+                          scaled_mem=tuple(m * factor for m in model.scaled_mem))
 
 
 @PROPERTY_SETTINGS
-@given(model_sequences(max_columns=5, max_rows=4, max_length=4))
-def test_ascending_solve_matches_bruteforce_on_every_model(models):
-    assert list(solve_ascending(models)) == [solve_bruteforce(m) for m in models]
+@given(swept_models(catalogs(max_columns=5), max_rows=4, max_length=4))
+def test_sweep_solve_matches_bruteforce_at_every_factor(swept):
+    model, sweep = swept
+    assert list(solve_sweep(model, sweep)) == [solve_bruteforce(scaled(model, f)) for f in sweep]
 
 
 @PROPERTY_SETTINGS
-@given(model_sequences(max_columns=30, max_rows=25, max_length=6))
-def test_ascending_solve_matches_a_fresh_solve_of_each_model(models):
-    assert list(solve_ascending(models)) == [next(solve_ascending([m])) for m in models]
+@given(swept_models(catalogs(max_columns=30), max_rows=25, max_length=6))
+def test_sweep_solve_matches_a_fresh_solve_at_each_factor(swept):
+    model, sweep = swept
+    assert list(solve_sweep(model, sweep)) == [solve_exact(scaled(model, f)) for f in sweep]
 
 
 @st.composite
@@ -157,18 +171,11 @@ def test_staircase_keeps_exactly_the_columns_no_earlier_column_dominates(catalog
     assert price == tuple(e.hourly_cost for e in kept)
 
 
-@st.composite
-def crowded_model_sequences(draw):
-    catalog = draw(crowded_catalogs(max_columns=40))
-    fleet = draw(fleets(catalog, max_rows=30))
-    return [build_model(fleet, catalog, policy)
-            for policy in draw(policy_sequences(fleet, max_length=4))]
-
-
 @PROPERTY_SETTINGS
-@given(crowded_model_sequences())
-def test_ascending_solve_matches_a_per_row_oracle_on_crowded_catalogs(models):
-    assert list(solve_ascending(models)) == [first_fit_by_row(m) for m in models]
+@given(swept_models(crowded_catalogs(max_columns=40), max_rows=30, max_length=4))
+def test_sweep_solve_matches_a_per_row_oracle_on_crowded_catalogs(swept):
+    model, sweep = swept
+    assert list(solve_sweep(model, sweep)) == [first_fit_by_row(scaled(model, f)) for f in sweep]
 
 
 @st.composite

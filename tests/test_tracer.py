@@ -17,7 +17,7 @@ DATA = Path(__file__).parent / "data" / "reports"
 
 INPUT_LAYERS = {"catalog.load", "metrics.ingest", "metrics.bindings", "metrics.build_fleet",
                 "model.build"}
-# run_sweep solves through solve_ascending, so a sweep records no solve.exact span
+# run_sweep solves through solve_sweep, not solve_exact, so a sweep records no solve.exact span
 COMMANDS = {
     "optimize": (("--delta", "1.5"), INPUT_LAYERS | {"solve.exact", "analysis.reports"}),
     "sweep": ((), INPUT_LAYERS | {"analysis.sweep"}),
