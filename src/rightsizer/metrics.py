@@ -94,16 +94,23 @@ class SeriesAccumulator:
     row of a run of one series with `add_timestamp` and `add`, and the rest
     of the run with `add_run`, in C-level passes.
 
-    The sample times seen during ingest are kept for duplicate detection.
-    `timestamps` is an `array('q')`, 8 bytes per sample, of every int64 time
-    later than all times before it, so it is sorted and holds every time of a
-    series written in time order. The set `extra_timestamps` holds the rest:
-    times out of order and times outside int64. Every int64 time in the set
-    is below the array's last time.
+    The sample times seen during ingest are kept for duplicate detection, in
+    three tiers. While a series' times arrive in order at one fixed interval,
+    they are the progression `first`, `first + step`, ..., `last`: three ints
+    however many samples come (`step` is None until a second time). The
+    first time off the progression closes it for good and starts
+    `timestamps`, an `array('q')` of 8 bytes per sample, which from then on
+    takes every int64 time later than all times before it; so the array is
+    sorted, and above `last`. The set `extra_timestamps`, None until its
+    first use, takes the rest: times out of order, and times outside int64
+    once the progression is closed. Every int64 time in the set is below the
+    latest time of the other two tiers. `add_run` takes a run that continues
+    the progression with one C-level comparison against a `range`, and
+    stores nothing per sample.
     """
 
     __slots__ = ("count", "total", "total_sq", "unit", "scale", "floor",
-                 "timestamps", "extra_timestamps")
+                 "first", "step", "last", "timestamps", "extra_timestamps")
 
     def __init__(self):
         self.count = 0
@@ -112,19 +119,41 @@ class SeriesAccumulator:
         self.unit = 1
         self.scale = 1.0  # float(unit)
         self.floor = math.ldexp(1.0, _FLOAT_DIGITS - 1)  # every float from here up is a multiple of 1/unit
-        self.timestamps = array("q")
-        self.extra_timestamps: set[int] = set()
+        self.first = self.step = self.last = None
+        self.timestamps: array | None = None
+        self.extra_timestamps: set[int] | None = None
 
     def add_timestamp(self, timestamp: int) -> bool:
         """Record a sample time; False if the series already has it."""
         stamps = self.timestamps
-        if (not stamps or stamps[-1] < timestamp) and _INT64_MIN <= timestamp <= _INT64_MAX:
+        if stamps is None:  # the progression is open
+            last = self.last
+            if last is None:
+                self.first = self.last = timestamp
+                return True
+            gap = timestamp - last
+            if gap == self.step or (self.step is None and gap > 0):
+                self.step = gap
+                self.last = timestamp
+                return True
+            stamps = self.timestamps = array("q")  # closes the progression
+        if (stamps[-1] if stamps else self.last) < timestamp and _INT64_MIN <= timestamp <= _INT64_MAX:
             stamps.append(timestamp)
             return True
-        i = bisect_left(stamps, timestamp)
-        if i < len(stamps) and stamps[i] == timestamp or timestamp in self.extra_timestamps:
+        first = self.first
+        # a progression of one time has no step, and any step holds it
+        if first <= timestamp <= self.last and (timestamp - first) % (self.step or 1) == 0:
             return False
-        self.extra_timestamps.add(timestamp)
+        i = bisect_left(stamps, timestamp)
+        if i < len(stamps) and stamps[i] == timestamp:
+            return False
+        extra = self.extra_timestamps
+        if extra is None:
+            self.extra_timestamps = {timestamp}
+        elif timestamp in extra:
+            return False
+        else:
+            extra.add(timestamp)
         return True
 
     def add(self, value: float) -> None:
@@ -142,22 +171,32 @@ class SeriesAccumulator:
     def add_run(self, timestamps: list[int], values: list[float]) -> bool:
         """Add a non-empty run of samples at once; False, adding nothing, if it cannot.
 
-        The run is added only if its times rise strictly from above the
-        series' latest time and stay in int64, and if a grid of at most
-        2**-_MAX_GRID_EXPONENT holds the series and the run. The values must
-        lie in [0, 100], which ingest checks first. The grid is set by the
-        run's smallest nonzero value: a float with `math.frexp` exponent e
-        is an integer multiple of 2**(e - 53), and so is every larger float.
+        The series must already hold a time: ingest adds the first row of a
+        run by itself. The run is added only if its times continue the open
+        progression, or rise strictly from above the series' latest time and
+        stay in int64, and if a grid of at most 2**-_MAX_GRID_EXPONENT holds
+        the series and the run. The values must lie in [0, 100], which
+        ingest checks first. The grid is set by the run's smallest nonzero
+        value: a float with `math.frexp` exponent e is an integer multiple
+        of 2**(e - 53), and so is every larger float.
         """
-        stamps = self.timestamps
-        if stamps and timestamps[0] <= stamps[-1]:
+        last, stamps = self.last, self.timestamps
+        if last is None:
             return False
-        if not all(map(lt, timestamps, islice(timestamps, 1, None))):
-            return False
-        try:
-            run_stamps = array("q", timestamps)
-        except OverflowError:
-            return False
+        continues = False
+        if stamps is None:  # the progression is open
+            step = self.step or timestamps[0] - last
+            stop = last + step * (len(timestamps) + 1)
+            continues = step > 0 and timestamps == list(range(last + step, stop, step))
+        if not continues:
+            if timestamps[0] <= (stamps[-1] if stamps else last):
+                return False
+            if not all(map(lt, timestamps, islice(timestamps, 1, None))):
+                return False
+            try:
+                run_stamps = array("q", timestamps)
+            except OverflowError:
+                return False
         exponent = self.unit.bit_length() - 1
         smallest = min(filter(None, values), default=0.0)
         if smallest:
@@ -166,7 +205,12 @@ class SeriesAccumulator:
             return False
         if 1 << exponent > self.unit:
             self._refine(exponent)
-        stamps += run_stamps
+        if continues:
+            self.step, self.last = step, timestamps[-1]
+        elif stamps is None:
+            self.timestamps = run_stamps  # closes the progression
+        else:
+            stamps += run_stamps
         scale = self.scale
         scaled = [int(value * scale) for value in values]
         self.count += len(scaled)
@@ -237,7 +281,8 @@ def ingest_metrics(source) -> IngestedMetrics:
     """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
 
     Each row feeds the exact accumulator of its (workload, metric) series;
-    no per-row objects are kept, only each sample's timestamp at 8 bytes.
+    no per-row objects are kept, and a series sampled at a fixed interval
+    keeps its times in constant memory.
     Workloads keep their order of first appearance. Values outside [0, 100]
     and duplicate (workload, metric, timestamp) rows are rejected with the
     offending line number; the first bad line in the file is the one named.

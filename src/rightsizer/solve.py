@@ -73,9 +73,15 @@ def assigned_types(solution: AssignmentSolution, catalog: Catalog, rows: int) ->
     does not assign exactly the rows 1..rows, or assigns a column outside
     the catalog; `validate_solution` reports the same faults as data.
     """
-    for _, detail in _coverage_faults(solution.assignment, rows, len(catalog.entries)):
+    assignment, entries = solution.assignment, catalog.entries
+    # C-level checks accept what `solve_sweep` builds: rows 1..rows in order,
+    # each with a column in the catalog; the row walk is for naming a fault
+    if (list(assignment) == list(range(1, rows + 1))
+            and set(assignment.values()).issubset(range(1, len(entries) + 1))):
+        return [entries[j - 1] for j in assignment.values()]
+    for _, detail in _coverage_faults(assignment, rows, len(entries)):
         raise RowMismatchError(detail)
-    return [catalog.entries[solution.assignment[i] - 1] for i in range(1, rows + 1)]
+    return [entries[assignment[i] - 1] for i in range(1, rows + 1)]
 
 
 def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ...]:

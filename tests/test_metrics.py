@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,6 +136,41 @@ def test_a_duplicate_timestamp_outside_int64_is_rejected_with_its_line(timestamp
         ingest_metrics(metrics_bytes(f"w1,{timestamp},cpu,10", "w1,5,cpu,10",
                                      f"w1,{timestamp},cpu,11"))
     assert str(exc.value) == f"line 4: duplicate sample for 'w1'/cpu at t={timestamp}"
+
+
+def test_a_duplicate_past_the_end_of_int64_is_found_after_the_progression_breaks():
+    # 0 and 2**62 set a step of 2**62; 3 * 2**62 is off it and outside int64,
+    # and 2**63 would be the next step but comes after the progression closed
+    times = (0, 2**62, 3 * 2**62, 2**63, 3 * 2**62)
+    with pytest.raises(DuplicateSampleError) as exc:
+        ingest_metrics(metrics_bytes(*(f"w1,{t},cpu,10" for t in times)))
+    assert str(exc.value) == f"line 6: duplicate sample for 'w1'/cpu at t={3 * 2**62}"
+
+
+def _held_after_ingest(data):
+    """Bytes still allocated once `data` is ingested, with the result held, and the result."""
+    tracemalloc.start()
+    try:
+        ingested = ingest_metrics(data)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, ingested
+
+
+def test_a_fixed_interval_series_is_held_in_memory_that_does_not_grow_with_its_samples():
+    def series(n, jitter):
+        return metrics_bytes(*(f"w1,{1_704_067_200 + 300 * k + jitter * (k % 7)},cpu,{k % 89}"
+                               for k in range(n)))
+
+    _held_after_ingest(series(100, 0))  # first use, so lazily made objects count in neither run
+    short, _ = _held_after_ingest(series(100, 0))
+    long, regular = _held_after_ingest(series(100_000, 0))
+    # 8 bytes per sample would be 800,000 bytes; the constant left is freed
+    # floats the interpreter keeps for reuse, about 2.4 kB on Python 3.11
+    assert long - short < 10_000
+    jittered = ingest_metrics(series(100_000, 1))
+    assert jittered["w1"][Metric.CPU].stats() == regular["w1"][Metric.CPU].stats()
 
 
 def test_same_timestamp_different_metric_allowed():

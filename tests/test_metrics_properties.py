@@ -1,5 +1,6 @@
 """Property tests: ingest's exact demand stats against `statistics` and across row orders,
-the square root under the standard deviation, and the line ingest names for a malformed row."""
+the square root under the standard deviation, and the line ingest names for a malformed row
+or a duplicate sample."""
 
 import statistics
 import sys
@@ -11,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rightsizer import Metric, compute_demand_stats, ingest_metrics  # noqa: E402
-from rightsizer.errors import RowError  # noqa: E402
+from rightsizer.errors import DuplicateSampleError, RowError  # noqa: E402
 from rightsizer.metrics import _sqrt_of_ratio  # noqa: E402
 from test_metrics import RUN_FAULTS, _assert_correctly_rounded_sqrt  # noqa: E402
 
@@ -188,3 +189,60 @@ def test_the_first_faulty_line_is_named_in_series_order_and_sorted_by_time(case)
         with pytest.raises(RowError) as exc:
             ingest_metrics(faulty_csv(keys, values, faults))
         assert exc.value.line == first
+
+
+# steps of one second to 2**62, so some series leave int64 within a few steps
+steps = st.integers(1, 10) | st.sampled_from((300, 2**62)) | st.integers(1, 2**62)
+
+
+@st.composite
+def series_times(draw):
+    """One series' times: a fixed-interval progression with gaps, maybe reversed;
+    then up to three times zero to two steps past its end, in any order and
+    maybe repeated; and a few times put in anywhere that repeat one of it, lie
+    between two of its steps, or lie outside int64."""
+    first, step = draw(first_times), draw(steps)
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    times = [first + step * k for k in range(n) if k not in gaps]
+    if draw(st.booleans()):
+        times.reverse()
+    times += draw(st.lists(st.integers(n, n + 2).map(lambda k: first + step * k), max_size=3))
+    pool = (*times, first + step // 2, 2**63, -(2**63) - 1, 3 * 2**62)
+    for extra in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        times.insert(draw(st.integers(0, len(times))), extra)
+    return times
+
+
+@st.composite
+def two_series_files(draw):
+    """Rows of w1/cpu and of another series, interleaved in a drawn pattern,
+    so runs of either series end and resume anywhere."""
+    w, m = draw(st.sampled_from((("w1", "mem"), ("w2", "cpu"))))
+    queues = [[("w1", t, "cpu") for t in draw(series_times())],
+              [(w, t, m) for t in draw(series_times())]]
+    pattern = draw(st.lists(st.booleans(), min_size=sum(map(len, queues)), max_size=sum(map(len, queues))))
+    rows = []
+    for take_other in pattern:
+        queue = queues[take_other] or queues[not take_other]
+        rows.append(queue.pop(0))
+    return [(w, t, m, float(k % 7)) for k, (w, t, m) in enumerate(rows)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=500)
+@given(two_series_files())
+def test_the_first_repeated_sample_is_the_duplicate_named(rows):
+    seen = set()
+    first_repeat = None
+    for line, (w, t, m, _) in enumerate(rows, 2):  # the header is line 1
+        if (w, m, t) in seen:
+            first_repeat = line
+            break
+        seen.add((w, m, t))
+    if first_repeat is None:
+        ingested = ingest_metrics(csv_bytes(rows))
+        assert sum(s.count for by_metric in ingested.values() for s in by_metric.values()) == len(rows)
+    else:
+        with pytest.raises(DuplicateSampleError) as exc:
+            ingest_metrics(csv_bytes(rows))
+        assert exc.value.line == first_repeat

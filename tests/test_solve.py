@@ -20,7 +20,8 @@ from rightsizer import (
     solve_sweep,
     validate_solution,
 )
-from rightsizer.errors import BudgetExceededError
+from rightsizer.errors import BudgetExceededError, RowMismatchError
+from rightsizer.solve import assigned_types
 
 
 def enumerate_best_total(model):
@@ -189,6 +190,16 @@ def test_validate_flags_a_pair_outside_the_matrix(assignment, row, detail):
     model = model_for(fleet, abc_catalog(), 1.0)
     assert validate_solution(model, AssignmentSolution(assignment, 0.2)) == [
         Violation("CoverageViolation", row, detail)]
+
+
+def test_assigned_types_reads_a_complete_assignment_in_any_key_order():
+    catalog = abc_catalog()
+    expected = [catalog.entries[2], catalog.entries[0], catalog.entries[1]]
+    assert assigned_types(AssignmentSolution({1: 3, 2: 1, 3: 2}, 0.7), catalog, 3) == expected
+    assert assigned_types(AssignmentSolution({3: 2, 1: 3, 2: 1}, 0.7), catalog, 3) == expected
+    # the first fault in row order is named, whatever the order of the keys
+    with pytest.raises(RowMismatchError, match="^row 1 is assigned column 4, catalog has columns 1..3$"):
+        assigned_types(AssignmentSolution({3: 0, 1: 4, 2: 1}, 0.7), catalog, 3)
 
 
 # --- properties ---------------------------------------------------------------
