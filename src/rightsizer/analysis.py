@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .catalog import Catalog
+from .catalog import HOURS_PER_YEAR, Catalog
 from .errors import (
     ConfigError,
     DegenerateVarianceError,
@@ -24,39 +24,8 @@ from .errors import (
     InvalidDeltasError,
 )
 from .metrics import Fleet
-from .model import UtilizationPolicy, build_model
+from .model import DEFAULT_SWEEP_SPEC, UtilizationPolicy, build_model, parse_sweep_spec
 from .solve import AssignmentSolution, Infeasible, assigned_types, solve_sweep
-
-HOURS_PER_YEAR = 8760
-DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
-MAX_SWEEP_CASES = 10_000  # a spec asking for more is refused before its factors are built
-
-
-def parse_sweep_spec(spec: str) -> tuple[float, ...]:
-    """Expand 'start:end:step' into an inclusive, strictly increasing factor list."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"sweep spec {spec!r} must be start:end:step")
-    try:
-        start, end, step = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"sweep spec {spec!r} has a non-numeric part") from None
-    if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step)):
-        raise ConfigError(f"sweep spec {spec!r} has a non-finite part")
-    if start < 1.0:
-        raise ConfigError("sweep start must be >= 1 (utilization factors are >= 1)")
-    if step <= 0.0:
-        raise ConfigError("sweep step must be > 0")
-    if end < start:
-        raise ConfigError("sweep end must be >= start")
-    steps = (end - start) / step + 1e-9
-    if not steps < MAX_SWEEP_CASES:  # also catches an overflow to inf
-        raise ConfigError(f"sweep spec {spec!r} asks for more than {MAX_SWEEP_CASES} cases")
-    factors = tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
-    if len(set(factors)) < len(factors):
-        raise ConfigError(f"sweep spec {spec!r} has factors that are equal once rounded to 10 decimals")
-    return factors
-
 
 def default_sweep_deltas() -> tuple[float, ...]:
     """Utilization factors 1.0 through 4.0 in 0.1 steps: 31 sweep cases.

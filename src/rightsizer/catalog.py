@@ -20,6 +20,9 @@ from .errors import (
 
 CATALOG_HEADER = ("key", "cpu_ecu", "mem_gib", "cost_per_hour")
 
+# an hourly price times this is its annual figure, unless a caller says otherwise
+HOURS_PER_YEAR = 8760
+
 # keys look like '<os>.<model...>.<region>', e.g. 'rhel.m4.large.us-east'
 MIN_KEY_SEGMENTS = 3
 

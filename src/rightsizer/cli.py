@@ -9,27 +9,55 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
-from pathlib import Path
 
-from . import reports
-from .analysis import (
-    DEFAULT_SWEEP_SPEC,
-    HOURS_PER_YEAR,
-    MAX_SWEEP_CASES,  # noqa: F401  (re-exported for callers of rightsizer.cli)
-    consolidation_report,
-    parse_sweep_spec,
-    project_costs,
-    run_sweep,
-    utilization_report,
-)
-from .catalog import load_catalog
+from .catalog import HOURS_PER_YEAR, load_catalog
 from .errors import ConfigError, RightsizerError
 from .metrics import build_fleet, ingest_metrics, load_bindings
-from .model import UtilizationPolicy, build_model, export_ampl, load_policy
-from .solve import Infeasible, solve_exact
-from .synth import SynthSpec, generate
+from .model import (
+    DEFAULT_SWEEP_SPEC,
+    MAX_SWEEP_CASES,  # noqa: F401  (re-exported for callers of rightsizer.cli)
+    UtilizationPolicy,
+    build_model,
+    export_ampl,
+    load_policy,
+    parse_sweep_spec,
+)
+
+# The layers that only some commands run, each with the names this module
+# calls it by (a layer's own name is its module). A command binds the names
+# of its layers with `_use` before it calls them, so no command loads a
+# layer it does not run. A name that is already bound keeps its value, so
+# a wrapper set on this module beforehand stays in place.
+_LAYERS = {
+    "analysis": ("consolidation_report", "project_costs", "run_sweep", "utilization_report"),
+    "reports": ("reports",),
+    "solve": ("Infeasible", "solve_exact"),
+    "synth": ("SynthSpec", "generate"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _use(*layers: str) -> None:
+    """Bind every name of `layers` in this module that is not bound yet."""
+    from importlib import import_module
+
+    names = globals()
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAYERS[layer]:
+            names.setdefault(name, module if name == layer else getattr(module, name))
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _use(layer)
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -92,23 +120,23 @@ def _load_model(args):
     return catalog, fleet, build_model(fleet, catalog, policy)
 
 
-def _write(path: Path, *parts: str) -> None:
+def _write(out_dir: str, name: str, *parts: str) -> None:
     # parts are written in order and never joined, so a large file is not held twice
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
         fh.writelines(parts)
 
 
-def _prepare_out(out_dir: Path, report_files, other_outputs: re.Pattern | None = None) -> None:
+def _prepare_out(out_dir: str, report_files, other_outputs: re.Pattern | None = None) -> None:
     # no output of an earlier run (infeasible, other format, longer sweep) may outlive this one
     names = {f"{stem}.{ext}" for stem, _ in report_files for ext in _EXTENSIONS.values()}
     names.update(plot for _, plot in report_files if plot)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path in out_dir.iterdir():
-        if path.name in names or (other_outputs and other_outputs.fullmatch(path.name)):
-            path.unlink()
+    os.makedirs(out_dir, exist_ok=True)
+    for name in os.listdir(out_dir):
+        if name in names or (other_outputs and other_outputs.fullmatch(name)):
+            os.unlink(os.path.join(out_dir, name))
 
 
-def _emit(out_dir: Path, fmt: str, files: tuple[str, str | None], report: reports.Report) -> None:
+def _emit(out_dir: str, fmt: str, files: tuple[str, str | None], report: reports.Report) -> None:
     # only the requested format is rendered, and the plot CSV is the CSV render
     stem, plot = files
     table_csv = reports.render_csv(report) if plot or fmt == "csv" else None
@@ -118,12 +146,13 @@ def _emit(out_dir: Path, fmt: str, files: tuple[str, str | None], report: report
         text = reports.render_text(report)
     else:
         text = table_csv
-    _write(out_dir / f"{stem}.{_EXTENSIONS[fmt]}", text)
+    _write(out_dir, f"{stem}.{_EXTENSIONS[fmt]}", text)
     if plot:
-        _write(out_dir / plot, table_csv)
+        _write(out_dir, plot, table_csv)
 
 
 def cmd_optimize(args) -> int:
+    _use("analysis", "reports", "solve")
     catalog, fleet, model = _load_model(args)
     out, fmt = args.out, args.format
     _prepare_out(out, _OPTIMIZE_REPORTS)
@@ -145,32 +174,35 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _use("analysis", "reports")
     catalog, fleet = _load_inputs(args)
     result = run_sweep(fleet, catalog, args.sweep, args.hours_per_year)
     _prepare_out(args.out, [_SWEEP_REPORT], _CASE_FILE)
 
     _emit(args.out, args.format, _SWEEP_REPORT, reports.sweep_spec(result))
     for k, case in enumerate(result.cases, start=1):
-        _write(args.out / f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
+        _write(args.out, f"case-{k}.json", reports.to_json(reports.sweep_case_payload(k, case)))
     return EXIT_OK
 
 
 def cmd_export_ampl(args) -> int:
     _, _, model = _load_model(args)
     exported = export_ampl(model)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write(args.out / "model.mod", exported.model_text)
-    _write(args.out / "model.dat", *exported.data_parts)
+    os.makedirs(args.out, exist_ok=True)
+    _write(args.out, "model.mod", exported.model_text)
+    _write(args.out, "model.dat", *exported.data_parts)
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    _use("synth")
     with open(args.catalog, "rb") as fh:
         catalog = load_catalog(fh)
     output = generate(SynthSpec(args.seed, args.count, args.samples, catalog))
-    args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "metrics.csv").write_bytes(output.metrics_csv)
-    (args.out / "bindings.csv").write_bytes(output.bindings_csv)
+    os.makedirs(args.out, exist_ok=True)
+    for name, data in (("metrics.csv", output.metrics_csv), ("bindings.csv", output.bindings_csv)):
+        with open(os.path.join(args.out, name), "wb") as fh:
+            fh.write(data)
     return EXIT_OK
 
 
@@ -178,7 +210,7 @@ def _add_inputs(parser) -> None:
     parser.add_argument("--catalog", required=True, help="catalog CSV path")
     parser.add_argument("--metrics", required=True, help="metrics CSV path")
     parser.add_argument("--bindings", required=True, help="bindings CSV path")
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    parser.add_argument("--out", required=True, help="output directory")
 
 
 def _add_report_flags(parser) -> None:
@@ -221,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate deterministic synthetic metrics and bindings")
     p.add_argument("--catalog", required=True, help="catalog CSV path")
-    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=_count, default=8, help="number of workloads")
     p.add_argument("--samples", type=_samples, default=24, help="samples per series")

@@ -276,6 +276,10 @@ IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 
 _METRIC_BY_NAME = {m.value: m for m in Metric}
 
+# rows read in one block; the run a block ends in is added at its end, so
+# a long run is never buffered whole
+_BLOCK_ROWS = 4096
+
 
 def ingest_metrics(source) -> IngestedMetrics:
     """Parse metrics CSV (``workload_id,timestamp,metric,value``) in one pass.
@@ -289,33 +293,42 @@ def ingest_metrics(source) -> IngestedMetrics:
 
     Consecutive rows of one series form a run. The first row of a run is
     checked and added by itself (`_add_row`); the rest are only buffered as
-    text and, when the run ends, added in C-level passes (`_add_rest`).
+    text and added in C-level passes (`_add_rest`) when the run ends, or
+    when a block of `_BLOCK_ROWS` rows does.
     """
     grouped: IngestedMetrics = {}
-    # the current run: its key as text, the line of its second row, and the
-    # texts of the rows buffered since its first
+    # the current run: its key as text, the line of its first buffered row,
+    # and the texts of the rows buffered since then
     run_id = run_metric = None
     rest_line = 0
     times: list[str] = []
     values: list[str] = []
+    rows = iter_rows(source, METRICS_HEADER)
+    line_no = 1
     try:
-        for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
-            if workload_id == run_id and metric_text == run_metric:
-                times.append(ts_text)
-                values.append(value_text)
-                continue
+        while True:
+            block_start = line_no
+            for line_no, (workload_id, ts_text, metric_text, value_text) in islice(rows, _BLOCK_ROWS):
+                if workload_id == run_id and metric_text == run_metric:
+                    times.append(ts_text)
+                    values.append(value_text)
+                    continue
+                if times:
+                    # emptied first, so a fault in them leaves nothing to flush below
+                    rest, times, values = (times, values), [], []
+                    _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
+                series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
+                run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
+            if line_no == block_start:
+                break  # the block was empty, and nothing is left buffered
             if times:
-                # emptied first, so a fault in them leaves nothing to flush below
                 rest, times, values = (times, values), [], []
                 _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
-            series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
-            run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
+                rest_line = line_no + 1
     except MalformedRowError:
         if times:  # the reader failed after the buffered rows, so a fault among them comes first
             _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
         raise
-    if times:
-        _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped

@@ -1,9 +1,12 @@
-"""Assignment model assembly: scaled demands, feasibility rule, AMPL export.
+"""Assignment model assembly: utilization factors, scaled demands,
+feasibility rule, AMPL export.
 
 Rows are fleet workloads, columns are catalog entries. A column j is feasible
 for row i when the workload's demand, multiplied by its utilization factor,
 fits the column's published capacities on both resources. Public functions
-number rows and columns from 1, matching the exported formulation.
+number rows and columns from 1, matching the exported formulation. A sweep's
+factors are read from a 'start:end:step' spec here (`parse_sweep_spec`), so
+that the CLI can check `--sweep` without loading the analyses.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from ._csvio import identifier, iter_rows, number
 from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
+    ConfigError,
     DuplicateKeyError,
     IndexOutOfRangeError,
     InvalidPolicyError,
@@ -25,6 +29,8 @@ from .errors import (
 from .metrics import Fleet
 
 POLICY_HEADER = ("workload_id", "delta")
+DEFAULT_SWEEP_SPEC = "1.0:4.0:0.1"
+MAX_SWEEP_CASES = 10_000  # a spec asking for more is refused before its factors are built
 
 
 class UtilizationPolicy(Frozen):
@@ -71,6 +77,32 @@ def load_policy(source, default: float) -> UtilizationPolicy:
             raise DuplicateKeyError(line_no, f"duplicate factor for {workload_id!r}")
         factors[workload_id] = delta
     return UtilizationPolicy(default=default, factors=factors)
+
+
+def parse_sweep_spec(spec: str) -> tuple[float, ...]:
+    """Expand 'start:end:step' into an inclusive, strictly increasing factor list."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"sweep spec {spec!r} must be start:end:step")
+    try:
+        start, end, step = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"sweep spec {spec!r} has a non-numeric part") from None
+    if not (math.isfinite(start) and math.isfinite(end) and math.isfinite(step)):
+        raise ConfigError(f"sweep spec {spec!r} has a non-finite part")
+    if start < 1.0:
+        raise ConfigError("sweep start must be >= 1 (utilization factors are >= 1)")
+    if step <= 0.0:
+        raise ConfigError("sweep step must be > 0")
+    if end < start:
+        raise ConfigError("sweep end must be >= start")
+    steps = (end - start) / step + 1e-9
+    if not steps < MAX_SWEEP_CASES:  # also catches an overflow to inf
+        raise ConfigError(f"sweep spec {spec!r} asks for more than {MAX_SWEEP_CASES} cases")
+    factors = tuple(round(start + k * step, 10) for k in range(math.floor(steps) + 1))
+    if len(set(factors)) < len(factors):
+        raise ConfigError(f"sweep spec {spec!r} has factors that are equal once rounded to 10 decimals")
+    return factors
 
 
 class AssignmentModel(NamedTuple):

@@ -137,12 +137,28 @@ def test_optimize_bad_byte_in_metrics_exits_one_with_its_line(inputs, tmp_path):
     assert "Traceback" not in done.stderr
 
 
-def modules_loaded_by_importing_the_cli() -> set[str]:
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter."""
     # -S keeps site-packages out, and with it any module a .pth file imports
-    code = "import sys, rightsizer.cli; print(*sorted(sys.modules))"
+    code += "\nimport sys; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     return set(done.stdout.split())
+
+
+def modules_loaded_by_importing_the_cli() -> set[str]:
+    return modules_loaded_by("import rightsizer.cli")
+
+
+def modules_loaded_by_running(command: str, flags: tuple, out: Path) -> set[str]:
+    inputs = ["--catalog", str(DATA / "reports" / "catalog.csv")]
+    if command != "synth":
+        inputs += ["--metrics", str(DATA / "reports" / "metrics.csv"),
+                   "--bindings", str(DATA / "reports" / "bindings.csv")]
+    argv = [command, *inputs, *flags, "--out", str(out)]
+    loaded = modules_loaded_by(f"from rightsizer.cli import main; assert main({argv!r}) == 0")
+    assert "rightsizer.cli" in loaded
+    return loaded
 
 
 def test_the_cli_imports_only_the_standard_library():
@@ -151,12 +167,32 @@ def test_the_cli_imports_only_the_standard_library():
     assert loaded - set(sys.stdlib_module_names) == {"__main__", "rightsizer"}
 
 
+# layers only some commands run, and modules that only those layers, or no
+# command, need: pathlib alone brings urllib.parse, ipaddress and fnmatch
+LAYERS_NOT_AT_START_UP = {"rightsizer.analysis", "rightsizer.solve", "rightsizer.reports", "rightsizer.synth"}
+NOT_AT_START_UP = LAYERS_NOT_AT_START_UP | {"json", "pathlib", "urllib", "ipaddress", "random"}
+
+
 def test_the_cli_loads_no_module_that_start_up_does_not_need():
     # dataclasses (with inspect) and statistics (with fractions and decimal)
     # once took half of the CLI's import time; only the t-tests use statistics
     loaded = modules_loaded_by_importing_the_cli()
     assert "rightsizer.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "statistics", "fractions", "decimal"})
+    assert loaded.isdisjoint(NOT_AT_START_UP), sorted(loaded & NOT_AT_START_UP)
+
+
+@pytest.mark.parametrize("command, flags, layers", [
+    ("optimize", ("--delta", "1.5"), {"analysis", "reports", "solve"}),
+    ("sweep", ("--sweep", "1.0:2.0:0.5"), {"analysis", "reports", "solve"}),
+    ("export-ampl", ("--delta", "1.5"), set()),
+    ("synth", ("--count", "3", "--samples", "4"), {"synth"}),
+])
+def test_each_command_loads_only_the_layers_it_runs(command, flags, layers, tmp_path):
+    loaded = modules_loaded_by_running(command, flags, tmp_path / "out")
+    assert loaded & LAYERS_NOT_AT_START_UP == {f"rightsizer.{layer}" for layer in layers}
+    assert ("json" in loaded) == ("reports" in layers)
+    assert os.listdir(tmp_path / "out")
 
 
 def test_optimize_text_format(inputs, tmp_path):

@@ -254,6 +254,40 @@ def test_a_buffered_fault_comes_before_a_bad_first_row_of_the_next_run(next_row)
     assert str(exc.value) == "line 42: value 'ten' is not a number"
 
 
+# data row k is on line k + 1; ingest reads the rows in blocks, and the
+# first block ends with data row BLOCK, in the middle of a longer run
+BLOCK = metrics_module._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("index", [BLOCK - 1, BLOCK, BLOCK + 1],
+                         ids=["last-of-block", "first-after-block", "second-after-block"])
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_a_fault_next_to_a_block_boundary_is_named_as_in_a_short_run(fault, index):
+    rows = run_rows(BLOCK + RUN)
+    bad = RUN_FAULTS[fault](100 * (index - 1))
+    with pytest.raises(RowError) as short:
+        ingest_metrics(metrics_bytes(rows[index - 1], bad))
+    rows[index] = bad
+    with pytest.raises(type(short.value)) as long:
+        ingest_metrics(metrics_bytes(*rows))
+    assert str(long.value) == str(short.value).replace("line 3:", f"line {index + 2}:")
+
+
+def test_a_long_run_is_added_in_blocks_so_its_peak_memory_does_not_grow_with_it():
+    rows = [f"w1,{1_704_067_200 + 300 * k},cpu,{k % 89}.5" for k in range(100_000)]
+    data = metrics_bytes(*rows)
+    ingest_metrics(metrics_bytes(*rows[:100]))  # first use, so lazily made objects do not count
+    tracemalloc.start()
+    try:
+        series = ingest_metrics(data)["w1"][Metric.CPU]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the run's texts buffered whole, and their conversions, peaked at 23 MB
+    assert peak < 2_000_000
+    assert series.stats() == compute_demand_stats([k % 89 + 0.5 for k in range(100_000)])
+
+
 @pytest.mark.parametrize("later", [b"w1,6300,cpu,1,extra", b"w1,6300,cpu,\xff"], ids=["columns", "utf-8"])
 def test_a_buffered_fault_comes_before_a_reader_error_later_in_its_run(later):
     rows = run_rows(RUN - 1)

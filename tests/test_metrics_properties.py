@@ -1,4 +1,4 @@
-"""Property tests: ingest's exact demand stats against `statistics` and across row orders,
+"""Property tests: ingest's exact demand stats against `statistics` and across any row order,
 the square root under the standard deviation, and the line ingest names for a malformed row
 or a duplicate sample."""
 
@@ -129,21 +129,25 @@ def fleets(draw):
 
 
 def all_sums(rows):
-    """Each series' stats and exact sums, which the rounded stats could hide an error in."""
-    return {(w, m): (series.stats(), Fraction(series.total, series.unit),
-                     Fraction(series.total_sq, series.unit ** 2))
+    """Each series' stats, every float as its exact bits, and its exact sums,
+    which the rounded stats could hide an error in."""
+    return {(w, m): (tuple(x.hex() if isinstance(x, float) else x for x in series.stats()),
+                     Fraction(series.total, series.unit), Fraction(series.total_sq, series.unit ** 2))
             for w, by_metric in ingest_metrics(csv_bytes(rows)).items()
             for m, series in by_metric.items()}
 
 
 @PROPERTY_SETTINGS
-@given(fleets())
-def test_row_order_does_not_change_the_sums(rows):
+@given(fleets().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+def test_row_order_does_not_change_the_sums(rows_and_permuted):
     # grouped rows form long runs that are batched; sorted by time the series
-    # change on every row; reversed, each run goes back in time
+    # change on every row; reversed, each run goes back in time; any other
+    # order mixes the three
+    rows, permuted = rows_and_permuted
     in_file_order = all_sums(rows)
     assert all_sums(sorted(rows, key=lambda row: row[1])) == in_file_order
     assert all_sums(rows[::-1]) == in_file_order
+    assert all_sums(permuted) == in_file_order
 
 
 def _moved(fault):
