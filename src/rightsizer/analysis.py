@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import filterfalse
 from typing import NamedTuple, Sequence
 
 from .catalog import HOURS_PER_YEAR, Catalog
@@ -23,7 +24,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidDeltasError,
 )
-from .metrics import Fleet
+from .metrics import Fleet, SeriesAccumulator, accumulate
 from .model import DEFAULT_SWEEP_SPEC, UtilizationPolicy, build_model, parse_sweep_spec
 from .solve import AssignmentSolution, Infeasible, assigned_types, solve_sweep
 
@@ -172,23 +173,31 @@ class TTestResult(NamedTuple):
     variant: str = "student_pooled"
 
 
+def _exact_sums(name: str, sample: Sequence[float]) -> SeriesAccumulator:
+    """The exact sums of `sample`; ValueError naming it if one of its values is not finite."""
+    for value in filterfalse(math.isfinite, sample):
+        raise ValueError(f"{name} holds {value!r}, which is not a finite number")
+    return accumulate(sample)
+
+
 def t_test(sample_a: Sequence[float], sample_b: Sequence[float]) -> TTestResult:
     """Two-sample Student's t with pooled variance; df = n_a + n_b - 2.
 
     The sign follows mean_a - mean_b, so t < 0 when sample_a's mean is the
     smaller one. Raises DegenerateVarianceError when the pooled variance is
     zero while the means differ; zero variance with equal means gives t = 0.
+    Each mean and variance is exact, rounded once, as `statistics` rounds
+    them. Raises ValueError, naming `sample_a` or `sample_b`, when a sample
+    holds an infinity or a NaN, whose t would not be a finite number.
     """
-    import statistics  # here, so that a command without t-tests does not load it
-
     n_a, n_b = len(sample_a), len(sample_b)
     if n_a < 2 or n_b < 2:
         raise InsufficientSamplesError(f"each sample needs >= 2 values, got {n_a} and {n_b}")
-    mean_a = statistics.mean(sample_a)
-    mean_b = statistics.mean(sample_b)
+    a, b = _exact_sums("sample_a", sample_a), _exact_sums("sample_b", sample_b)
+    mean_a = a.mean()
+    mean_b = b.mean()
     df = n_a + n_b - 2
-    pooled = ((n_a - 1) * statistics.variance(sample_a)
-              + (n_b - 1) * statistics.variance(sample_b)) / df
+    pooled = ((n_a - 1) * a.variance() + (n_b - 1) * b.variance()) / df
     if pooled == 0.0:
         if mean_a != mean_b:
             raise DegenerateVarianceError("pooled variance is zero but the means differ")
@@ -219,7 +228,7 @@ class UtilizationReport(NamedTuple):
     mem_ttest: TTestResult | None
 
 
-def _safe_t_test(a: list[float], b: list[float]) -> TTestResult | None:
+def _safe_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult | None:
     try:
         return t_test(a, b)
     except (InsufficientSamplesError, DegenerateVarianceError):
@@ -228,9 +237,11 @@ def _safe_t_test(a: list[float], b: list[float]) -> TTestResult | None:
 
 def utilization_report(fleet: Fleet, catalog: Catalog,
                        solution: AssignmentSolution) -> UtilizationReport:
-    """Demand/capacity fractions before and after reassignment, with t-tests."""
-    import statistics  # see t_test
+    """Demand/capacity fractions before and after reassignment, with t-tests.
 
+    The means are exact, rounded once. A fraction whose quotient overflows,
+    a huge demand over a capacity below 1, is a ValueError.
+    """
     rows = []
     for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet))):
         current = catalog.lookup(w.current_type)
@@ -245,9 +256,9 @@ def utilization_report(fleet: Fleet, catalog: Catalog,
     target_cpu = [r.target_cpu_util for r in rows]
     source_mem = [r.source_mem_util for r in rows]
     target_mem = [r.target_mem_util for r in rows]
-    means = UtilizationMeans(
-        statistics.mean(source_cpu), statistics.mean(target_cpu),
-        statistics.mean(source_mem), statistics.mean(target_mem))
+    means = UtilizationMeans(*(
+        _exact_sums(f"{name} utilization", fractions).mean()
+        for name, fractions in zip(UtilizationMeans._fields, (source_cpu, target_cpu, source_mem, target_mem))))
     return UtilizationReport(
         per_workload=tuple(rows),
         means=means,

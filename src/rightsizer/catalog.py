@@ -7,6 +7,7 @@ fixes the column order of every matrix built from it.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from ._csvio import _CONTROL, csv_text, identifier, iter_rows, number
@@ -50,6 +51,10 @@ class Catalog(Frozen):
             raise ValueError("catalog keys must be unique")
         for key in filter(_CONTROL.search, index):
             raise ValueError(f"catalog key {key!r} holds a control character")
+        for e in entries:
+            if not (0 < e.cpu_capacity < math.inf and 0 < e.mem_capacity < math.inf
+                    and 0 < e.hourly_cost < math.inf):
+                raise ValueError(f"catalog type {e.key!r}: capacities and cost must be finite and positive")
         self._set(entries=entries, _index=index)
 
     def __len__(self) -> int:

@@ -68,8 +68,8 @@ class Fleet(Frozen):
         for w in workloads:
             if _CONTROL.search(w.id):
                 raise ValueError(f"workload id {w.id!r} holds a control character")
-            if not (w.cpu_demand >= 0 and w.mem_demand >= 0):
-                raise ValueError(f"workload {w.id!r} has a demand that is negative or not a number")
+            if not (0 <= w.cpu_demand < math.inf and 0 <= w.mem_demand < math.inf):
+                raise ValueError(f"workload {w.id!r} has a demand that is negative or not finite")
         self._set(workloads=workloads)
 
     def __len__(self) -> int:
@@ -85,7 +85,8 @@ class SeriesAccumulator:
     integers as Python ints, so mean and variance are exact rationals however
     many samples arrive. A value off the grid moves the sums onto a finer one
     first. The grid need not be the coarsest that holds the values: the
-    stats are the same exact rationals on every grid.
+    stats are the same exact rationals on every grid. `mean` and `variance`
+    round those rationals once each, and `stats` reads the same two.
 
     `add` takes a value in [`floor`, 100] with one float multiply: such a
     value is an integer on the grid, and its scaled value fits a float.
@@ -230,21 +231,45 @@ class SeriesAccumulator:
         else:
             self.floor = math.inf
 
-    def stats(self) -> DemandStats:
-        """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
+    def mean(self) -> float:
+        """The exact mean of the values added, rounded once to a float.
 
-        The mean is the exact rational mean rounded once to a float; the
-        standard deviation is the correctly rounded square root of the exact
-        n-1 variance. Both match `statistics.mean`/`stdev` on Python 3.11+.
+        An int / int true division rounds correctly, so this equals
+        `statistics.mean` of the same floats.
         """
+        n = self.count
+        if n < 1:
+            raise InsufficientSamplesError("need at least 1 sample, got 0")
+        return self.total / (n * self.unit)
+
+    def variance(self) -> float:
+        """The exact n-1 variance of the values added, rounded once to a float.
+
+        It equals `statistics.variance` of the same floats; OverflowError if
+        it is past the largest float, as there.
+        """
+        numerator, denominator = self._variance_ratio()
+        return numerator / denominator
+
+    def _variance_ratio(self) -> tuple[int, int]:
+        """The exact n-1 variance as a ratio of two ints."""
         n = self.count
         if n < 2:
             raise InsufficientSamplesError(f"need at least 2 samples, got {n}")
-        mean = self.total / (n * self.unit)
         # sum((a - total/n)**2) / (n - 1), over the grid's unit squared
-        stddev = _sqrt_of_ratio(n * self.total_sq - self.total * self.total,
-                                n * (n - 1) * self.unit * self.unit)
-        return DemandStats(mean, stddev, min(mean + 2.0 * stddev, 100.0), n)
+        return n * self.total_sq - self.total * self.total, n * (n - 1) * self.unit * self.unit
+
+    def stats(self) -> DemandStats:
+        """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
+
+        The mean is `mean()`; the standard deviation is the correctly
+        rounded square root of the exact n-1 variance that `variance()`
+        rounds. Both match `statistics.mean`/`stdev` on Python 3.11+.
+        """
+        numerator, denominator = self._variance_ratio()
+        mean = self.mean()
+        stddev = _sqrt_of_ratio(numerator, denominator)
+        return DemandStats(mean, stddev, min(mean + 2.0 * stddev, 100.0), self.count)
 
 
 _FLOAT_DIGITS = 53  # significand bits of a double
@@ -407,16 +432,25 @@ def load_bindings(source) -> dict[str, str]:
     return bindings
 
 
+def accumulate(values: Iterable[float]) -> SeriesAccumulator:
+    """A new `SeriesAccumulator` holding the exact sums of `values`, which must be finite.
+
+    Each value is read as a float first: `add` takes only floats' dyadic
+    rationals, and would round a `Fraction(1, 3)` to a wrong grid.
+    """
+    series = SeriesAccumulator()
+    for value in values:
+        series.add(float(value))
+    return series
+
+
 def compute_demand_stats(values: Iterable[float]) -> DemandStats:
     """Mean, sample standard deviation, and mean + 2*stddev clamped to 100.
 
     Requires at least two finite samples (the n-1 estimator is undefined
     below that). See `SeriesAccumulator.stats` for the rounding.
     """
-    series = SeriesAccumulator()
-    for value in values:
-        series.add(value)
-    return series.stats()
+    return accumulate(values).stats()
 
 
 def build_fleet(metrics: IngestedMetrics, catalog: Catalog, bindings: Mapping[str, str]) -> Fleet:

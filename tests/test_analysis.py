@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from scipy import stats as scipy_stats
@@ -246,6 +247,16 @@ def test_target_utilization_bounded_by_factor():
             assert row.target_mem_util * factor <= 1.0 + 1e-12
 
 
+def test_utilization_that_overflows_is_refused():
+    catalog = Catalog((
+        InstanceType("os.cur.x.r1", 0.5, 8.0, 0.20),
+        InstanceType("os.tgt.y.r1", 1.7e308, 8.0, 0.10),
+    ))
+    fleet = Fleet((WorkloadProfile("w1", "os.cur.x.r1", 1e308, 2.0),))
+    with pytest.raises(ValueError, match=r"^source_cpu utilization holds inf, which is not a finite number$"):
+        utilization_report(fleet, catalog, AssignmentSolution({1: 2}, 0.10))
+
+
 def test_single_workload_report_skips_ttest():
     catalog = abc_catalog()
     fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0),))
@@ -283,6 +294,22 @@ def test_t_zero_variance_equal_means():
 def test_t_needs_two_each():
     with pytest.raises(InsufficientSamplesError):
         t_test([0.1], [0.2, 0.3])
+
+
+def test_t_reads_ints_and_fractions_as_floats():
+    assert t_test([Fraction(1, 3), Fraction(2, 3)], [1, 2]) == t_test([1 / 3, 2 / 3], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_t_refuses_a_sample_that_is_not_finite(value):
+    # statistics gave an infinite or NaN t here, which JSON writes as Infinity or NaN
+    with pytest.raises(ValueError, match=f"^sample_a holds {value!r}, which is not a finite number$"):
+        t_test([0.1, value, 0.3], [0.2, 0.3])
+    with pytest.raises(ValueError, match=f"^sample_b holds {value!r}, which is not a finite number$"):
+        t_test([0.1, 0.3], [0.2, 0.3, value])
+    # too few values is reported first
+    with pytest.raises(InsufficientSamplesError):
+        t_test([value], [0.2, 0.3])
 
 
 def test_t_antisymmetric_and_matches_scipy():

@@ -182,16 +182,25 @@ def test_the_cli_loads_no_module_that_start_up_does_not_need():
     assert loaded.isdisjoint(NOT_AT_START_UP), sorted(loaded & NOT_AT_START_UP)
 
 
+# `statistics` and the modules it loads; the means and variances
+# of the utilization report come from exact integer sums instead
+EXACT_RATIONAL_STACK = {"statistics", "fractions", "decimal", "numbers", "random"}
+
+
 @pytest.mark.parametrize("command, flags, layers", [
     ("optimize", ("--delta", "1.5"), {"analysis", "reports", "solve"}),
     ("sweep", ("--sweep", "1.0:2.0:0.5"), {"analysis", "reports", "solve"}),
     ("export-ampl", ("--delta", "1.5"), set()),
     ("synth", ("--count", "3", "--samples", "4"), {"synth"}),
+    ("optimize", ("--delta", "1.5", "--format", "text"), {"analysis", "reports", "solve"}),
+    ("optimize", ("--delta", "1.5", "--format", "csv"), {"analysis", "reports", "solve"}),
 ])
 def test_each_command_loads_only_the_layers_it_runs(command, flags, layers, tmp_path):
     loaded = modules_loaded_by_running(command, flags, tmp_path / "out")
     assert loaded & LAYERS_NOT_AT_START_UP == {f"rightsizer.{layer}" for layer in layers}
     assert ("json" in loaded) == ("reports" in layers)
+    # only synth draws random numbers
+    assert loaded & EXACT_RATIONAL_STACK == ({"random"} if command == "synth" else set())
     assert os.listdir(tmp_path / "out")
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from rightsizer import analysis as analysis_module
 from rightsizer import metrics as metrics_module
 from rightsizer import (
     Metric,
@@ -362,6 +363,13 @@ def test_demand_stats_hand_case():
     assert stats.sample_count == 3
 
 
+def test_demand_stats_read_ints_and_fractions_as_floats():
+    # a Fraction(1, 3) once landed on a grid too coarse for it, and gave a mean of 0.0
+    assert compute_demand_stats([Fraction(1, 3)] * 3) == compute_demand_stats([1 / 3] * 3)
+    assert compute_demand_stats([Fraction(1, 3)] * 3).mean_pct == 1 / 3
+    assert compute_demand_stats([10, 20, 30]) == compute_demand_stats([10.0, 20.0, 30.0])
+
+
 def test_demand_stats_zero_variance():
     stats = compute_demand_stats([50.0, 50.0, 50.0])
     assert (stats.mean_pct, stats.stddev_pct, stats.demand_pct) == (50.0, 0.0, 50.0)
@@ -503,12 +511,24 @@ def test_square_root_rounds_halfway_cases_to_even():
             _assert_correctly_rounded_sqrt(metrics_module._sqrt_of_ratio(p + nudge, q), exact)
 
 
-def test_metrics_module_does_not_use_statistics():
-    tree = ast.parse(Path(metrics_module.__file__).read_text(encoding="utf-8"))
+def imported_by(module) -> set[str]:
+    """The top-level names of the modules that `module`'s source imports, in functions too."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "statistics" not in imported
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.partition(".")[0] for name in imported}
+
+
+def test_metrics_module_does_not_use_statistics():
+    assert "statistics" not in imported_by(metrics_module)
+
+
+def test_analysis_module_imports_no_exact_rational_module():
+    # its means and variances are exact integer sums from metrics, rounded once
+    imported = imported_by(analysis_module)
+    assert "metrics" in imported
+    assert imported.isdisjoint({"statistics", "fractions", "decimal", "numbers", "random"})
 
 
 # --- fleet construction -----------------------------------------------------

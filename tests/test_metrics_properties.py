@@ -1,19 +1,25 @@
 """Property tests: ingest's exact demand stats against `statistics` and across any row order,
-the square root under the standard deviation, and the line ingest names for a malformed row
-or a duplicate sample."""
+the exact mean and variance under the utilization report and its t-tests, the square root
+under the standard deviation, the `optimize` tree across row orders, and the line ingest
+names for a malformed row or a duplicate sample."""
 
+import math
+import os
 import statistics
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rightsizer import Metric, compute_demand_stats, ingest_metrics  # noqa: E402
-from rightsizer.errors import DuplicateSampleError, RowError  # noqa: E402
-from rightsizer.metrics import _sqrt_of_ratio  # noqa: E402
+from rightsizer import Metric, compute_demand_stats, ingest_metrics, t_test  # noqa: E402
+from rightsizer.cli import main  # noqa: E402
+from rightsizer.errors import DegenerateVarianceError, DuplicateSampleError, RowError  # noqa: E402
+from rightsizer.metrics import _sqrt_of_ratio, accumulate  # noqa: E402
 from test_metrics import RUN_FAULTS, _assert_correctly_rounded_sqrt  # noqa: E402
 
 PROPERTY_SETTINGS = settings(deadline=None, database=None, derandomize=True)
@@ -54,6 +60,63 @@ def test_stats_equal_the_statistics_module(values):
     assert stats.stddev_pct == statistics.stdev(values)
     assert stats.sample_count == len(values)
     assert compute_demand_stats(values) == stats
+
+
+# any finite float, with zeros, subnormals, negatives, values above 100 and
+# the ends of the float range common
+any_finite = (st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 0.1, 100.0,
+                               100.5, -3.0, 1e300, -1.7976931348623157e308))
+              | st.floats(-1000.0, 1000.0) | st.floats(-1e-300, 1e-300)
+              | st.floats(allow_nan=False, allow_infinity=False))
+samples = st.lists(any_finite, min_size=2, max_size=40)
+
+
+def outcome(function, *args):
+    """What `function` returns, with each float as its exact bits; or the type of what it raises."""
+    try:
+        result = function(*args)
+    except (OverflowError, DegenerateVarianceError) as exc:
+        return type(exc)
+    if isinstance(result, float):
+        return result.hex()
+    return tuple(x.hex() if isinstance(x, float) else x for x in result)
+
+
+@PROPERTY_SETTINGS
+@given(samples)
+def test_mean_and_variance_equal_the_statistics_module(values):
+    series = accumulate(values)
+    assert series.count == len(values)
+    assert outcome(series.mean) == outcome(statistics.mean, values)
+    # the n-1 variance overflows on both sides, or on neither
+    assert outcome(series.variance) == outcome(statistics.variance, values)
+
+
+def reference_t_test(sample_a, sample_b):
+    """`t_test` with its means and variances from `statistics`."""
+    n_a, n_b = len(sample_a), len(sample_b)
+    mean_a = statistics.mean(sample_a)
+    mean_b = statistics.mean(sample_b)
+    df = n_a + n_b - 2
+    pooled = ((n_a - 1) * statistics.variance(sample_a)
+              + (n_b - 1) * statistics.variance(sample_b)) / df
+    if pooled == 0.0:
+        if mean_a != mean_b:
+            raise DegenerateVarianceError("pooled variance is zero but the means differ")
+        return 0.0, float(df), "student_pooled"
+    t = (mean_a - mean_b) / math.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
+    return t, float(df), "student_pooled"
+
+
+# utilization fractions, and samples with equal values, so a zero pooled variance is common
+unit_fractions = st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(samples | st.lists(unit_fractions, min_size=2, max_size=12),
+       samples | st.lists(unit_fractions, min_size=2, max_size=12))
+def test_t_test_equals_one_built_from_the_statistics_module(sample_a, sample_b):
+    assert outcome(t_test, sample_a, sample_b) == outcome(reference_t_test, sample_a, sample_b)
 
 
 def operands(max_bits):
@@ -148,6 +211,73 @@ def test_row_order_does_not_change_the_sums(rows_and_permuted):
     assert all_sums(sorted(rows, key=lambda row: row[1])) == in_file_order
     assert all_sums(rows[::-1]) == in_file_order
     assert all_sums(permuted) == in_file_order
+
+
+# every workload fits the huge type at the factor 1.5
+OPTIMIZE_CATALOG = (b"key,cpu_ecu,mem_gib,cost_per_hour\n"
+                    b"lin.a.small.r1,2.0,4.0,0.10\nlin.b.medium.r1,4.0,8.0,0.20\n"
+                    b"lin.c.large.r1,8.0,16.0,0.40\nlin.d.huge.r1,64.0,128.0,3.20\n")
+BOUND_TYPES = ("lin.a.small.r1", "lin.b.medium.r1", "lin.c.large.r1")
+
+
+@st.composite
+def fleet_files(draw):
+    """Rows of one to four workloads, grouped by series, each in time order; and their bindings."""
+    rows = []
+    workloads = [f"w{n}" for n in range(draw(st.integers(1, 4)))]
+    for w in workloads:
+        for metric in ("cpu", "mem"):
+            values = draw(st.lists(percentages, min_size=2, max_size=12))
+            first, step = draw(first_times), draw(st.integers(1, 10))
+            rows.extend((w, first + step * k, metric, v) for k, v in enumerate(values))
+    return rows, {w: draw(st.sampled_from(BOUND_TYPES)) for w in workloads}
+
+
+def keeping_first_appearances(rows, permuted):
+    """`permuted`, with each workload's first row there moved so that the
+    workloads first appear in the order they do in `rows`."""
+    order = list(dict.fromkeys(row[0] for row in rows))
+    leaders, rest = {}, []
+    for row in permuted:
+        if row[0] in leaders:
+            rest.append(row)
+        else:
+            leaders[row[0]] = row
+    reordered, pending, placed = [], iter(order), set()
+    for row in rest:
+        while row[0] not in placed:
+            w = next(pending)
+            reordered.append(leaders[w])
+            placed.add(w)
+        reordered.append(row)
+    reordered.extend(leaders[w] for w in pending)
+    return reordered
+
+
+def optimize_tree(catalog: bytes, metrics: bytes, bindings: dict[str, str]):
+    """The exit code of `optimize --format json` at the factor 1.5, and every file it writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp, f"{name}.csv") for name in ("catalog", "metrics", "bindings")}
+        paths["catalog"].write_bytes(catalog)
+        paths["metrics"].write_bytes(metrics)
+        paths["bindings"].write_text(
+            "workload_id,current_type\n" + "".join(f"{w},{t}\n" for w, t in bindings.items()))
+        out = Path(tmp, "out")
+        code = main(["optimize", *(f"--{name}={path}" for name, path in paths.items()),
+                     "--delta", "1.5", "--format", "json", "--out", str(out)])
+        return code, {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(fleet_files().flatmap(lambda drawn: st.tuples(st.just(drawn), st.permutations(drawn[0]))))
+def test_row_order_keeping_first_appearances_does_not_change_the_optimize_tree(drawn_and_permuted):
+    (rows, bindings), permuted = drawn_and_permuted
+    reordered = keeping_first_appearances(rows, permuted)
+    assert sorted(reordered) == sorted(rows)
+    assert list(dict.fromkeys(row[0] for row in reordered)) == list(bindings)
+    code, tree = optimize_tree(OPTIMIZE_CATALOG, csv_bytes(rows), bindings)
+    assert code == 0 and "utilization_report.json" in tree
+    assert optimize_tree(OPTIMIZE_CATALOG, csv_bytes(reordered), bindings) == (code, tree)
 
 
 def _moved(fault):

@@ -12,6 +12,7 @@ import inspect
 import math
 import pickle
 import re
+import sys
 
 import pytest
 
@@ -121,11 +122,34 @@ def test_fleet_checks_its_workloads():
     for workload_id in ("w\r1", "w\t1", "\x1f"):
         with pytest.raises(ValueError, match=exact(f"workload id {workload_id!r} holds a control character")):
             Fleet((w, w._replace(id=workload_id)))
-    for demands in ({"cpu_demand": -1e-300}, {"mem_demand": -math.inf}, {"mem_demand": math.nan}):
-        with pytest.raises(ValueError, match=exact("workload 'w2' has a demand that is negative or not a number")):
+    for demands in ({"cpu_demand": -1e-300}, {"mem_demand": -math.inf}, {"mem_demand": math.nan},
+                    {"cpu_demand": math.inf}, {"mem_demand": math.inf}):
+        with pytest.raises(ValueError, match=exact("workload 'w2' has a demand that is negative or not finite")):
             Fleet((w, w._replace(id="w2", **demands)))
-    # zero demands, a negative zero and an infinite demand are allowed
-    Fleet((w._replace(cpu_demand=0.0, mem_demand=-0.0), w._replace(id="w2", cpu_demand=math.inf)))
+    # zero demands, a negative zero and the largest float are allowed
+    Fleet((w._replace(cpu_demand=0.0, mem_demand=-0.0), w._replace(id="w2", mem_demand=sys.float_info.max)))
+
+
+@pytest.mark.parametrize("cpu, mem, cost", [
+    (math.inf, math.inf, 0.01),  # once solve_exact put an infinite demand here, at 0 % utilization
+    (math.nan, 4.0, -0.1),
+    (2.0, 4.0, math.inf),
+    (2.0, math.nan, 0.1),
+    (2.0, 4.0, math.nan),
+    (0.0, 4.0, 0.1),
+    (2.0, -0.0, 0.1),
+    (2.0, 4.0, -1e-300),
+])
+def test_catalog_refuses_a_capacity_or_cost_that_is_not_finite_and_positive(cpu, mem, cost):
+    message = "catalog type 'lin.d.huge.r1': capacities and cost must be finite and positive"
+    with pytest.raises(ValueError, match=exact(message)):
+        Catalog(ABC_ENTRIES + (InstanceType("lin.d.huge.r1", cpu, mem, cost),))
+
+
+def test_catalog_accepts_the_smallest_and_largest_positive_floats():
+    tiny, huge = 5e-324, sys.float_info.max
+    catalog = Catalog(ABC_ENTRIES + (InstanceType("lin.d.huge.r1", huge, tiny, tiny),))
+    assert catalog.lookup("lin.d.huge.r1") == InstanceType("lin.d.huge.r1", huge, tiny, tiny)
 
 
 @pytest.mark.parametrize("default, factors, message", [
