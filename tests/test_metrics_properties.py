@@ -1,7 +1,8 @@
 """Property tests: ingest's exact demand stats against `statistics` and across any row order,
 the exact mean and variance under the utilization report and its t-tests, the square root
-under the standard deviation, the `optimize` tree across row orders, and the line ingest
-names for a malformed row or a duplicate sample."""
+under the standard deviation, the `optimize` tree across row orders, the line ingest
+names for a malformed row or a duplicate sample, and series that share one grid of times
+staying independent."""
 
 import math
 import os
@@ -363,16 +364,20 @@ def two_series_files(draw):
     return [(w, t, m, float(k % 7)) for k, (w, t, m) in enumerate(rows)]
 
 
+def first_repeated_line(rows):
+    """The line of the first row whose series already has its time, or None."""
+    seen = set()
+    for line, (w, t, m, _) in enumerate(rows, 2):  # the header is line 1
+        if (w, m, t) in seen:
+            return line
+        seen.add((w, m, t))
+    return None
+
+
 @settings(PROPERTY_SETTINGS, max_examples=500)
 @given(two_series_files())
 def test_the_first_repeated_sample_is_the_duplicate_named(rows):
-    seen = set()
-    first_repeat = None
-    for line, (w, t, m, _) in enumerate(rows, 2):  # the header is line 1
-        if (w, m, t) in seen:
-            first_repeat = line
-            break
-        seen.add((w, m, t))
+    first_repeat = first_repeated_line(rows)
     if first_repeat is None:
         ingested = ingest_metrics(csv_bytes(rows))
         assert sum(s.count for by_metric in ingested.values() for s in by_metric.values()) == len(rows)
@@ -380,3 +385,48 @@ def test_the_first_repeated_sample_is_the_duplicate_named(rows):
         with pytest.raises(DuplicateSampleError) as exc:
             ingest_metrics(csv_bytes(rows))
         assert exc.value.line == first_repeat
+
+
+@st.composite
+def one_grid_files(draw):
+    """Three to five series sampled from one first time at one step, their rows
+    interleaved in runs of drawn lengths. One of them has gaps and maybe its
+    times out of order. Also a repeat of one of that series' rows and where
+    it goes in the file."""
+    first, step = draw(first_times), draw(steps)
+    n = draw(st.integers(2, 12))
+    keys = [(f"w{k // 2}", ("cpu", "mem")[k % 2]) for k in range(draw(st.integers(3, 5)))]
+    odd = draw(st.sampled_from(keys))
+    queues = {}
+    for key in keys:
+        times = [first + step * k for k in range(n)]
+        if key == odd:
+            gaps = draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
+            times = [t for k, t in enumerate(times) if k not in gaps]
+            if draw(st.booleans()):
+                times = draw(st.permutations(times))
+        queues[key] = [(key[0], t, key[1], draw(percentages)) for t in times]
+    repeat = draw(st.sampled_from(queues[odd]))
+    rows = []
+    while any(queues.values()):
+        queue = queues[draw(st.sampled_from([key for key in keys if queues[key]]))]
+        run = draw(st.integers(1, len(queue)))
+        rows += queue[:run]
+        del queue[:run]
+    return rows, draw(st.integers(0, len(rows))), repeat
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(one_grid_files())
+def test_series_that_share_a_grid_stay_independent(case):
+    # ingest shares equal first times, steps and last times among series;
+    # a value shared wrongly would change another series' times
+    rows, position, repeat = case
+    for w, by_metric in ingest_metrics(csv_bytes(rows)).items():
+        for m, series in by_metric.items():
+            alone = ingest_metrics(csv_bytes(row for row in rows if (row[0], row[2]) == (w, m.value)))
+            assert series.stats() == alone[w][m].stats()
+    repeated = rows[:position] + [repeat] + rows[position:]
+    with pytest.raises(DuplicateSampleError) as exc:
+        ingest_metrics(csv_bytes(repeated))
+    assert exc.value.line == first_repeated_line(repeated)
