@@ -13,7 +13,7 @@ from bisect import bisect_left
 from enum import Enum
 from itertools import count, islice
 from operator import lt, mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from ._csvio import _CONTROL, identifier, iter_rows
 from ._frozen import Frozen
@@ -111,12 +111,10 @@ class SeriesAccumulator:
     the progression with one C-level comparison against a `range`, and
     stores nothing per sample.
 
-    Series sampled on one grid hold equal `first` and `step` ints, and equal
-    `last` ints once their runs end, so `ingest_metrics` has them hold one
-    shared object per value. With `exponent` a small cached int, a series at
-    a fixed interval then takes about 340 bytes of ingest memory in series
-    order and 370 sorted by time (tracemalloc, Python 3.11, two series per
-    workload, the workload's dict entries included).
+    With `exponent` a small cached int, a series at a fixed interval takes
+    about 430 bytes of ingest memory, in series order or sorted by time
+    (tracemalloc, Python 3.10-3.13, two series per workload, the workload's
+    dict entries included).
     """
 
     __slots__ = ("count", "total", "total_sq", "exponent",
@@ -142,11 +140,9 @@ class SeriesAccumulator:
                 self.first = self.last = timestamp
                 return True
             gap = timestamp - last
-            if gap == self.step:
+            if gap == self.step or (self.step is None and gap > 0):
+                self.step = gap
                 self.last = timestamp
-                return True
-            if self.step is None and gap > 0:
-                self.step, self.last = gap, timestamp
                 return True
             stamps = self.timestamps = array("q")  # closes the progression
         if (stamps[-1] if stamps else self.last) < timestamp and _INT64_MIN <= timestamp <= _INT64_MAX:
@@ -335,11 +331,6 @@ def ingest_metrics(source) -> IngestedMetrics:
     when a block of `_BLOCK_ROWS` rows does.
     """
     grouped: IngestedMetrics = {}
-    # `shared(t, t)` is this call's one int object of t's value. A series takes
-    # its `first` from it when it is made, and its `step`, with the `last` of
-    # the run that sets it, once. So series on one grid share those objects,
-    # and the table takes at most three values and three lookups per series.
-    shared = {}.setdefault
     # the current run: its key as text, the line of its first buffered row,
     # and the texts of the rows buffered since then
     run_id = run_metric = None
@@ -359,26 +350,26 @@ def ingest_metrics(source) -> IngestedMetrics:
                 if times:
                     # emptied first, so a fault in them leaves nothing to flush below
                     rest, times, values = (times, values), [], []
-                    _add_rest(grouped, shared, series, rest_line, run_id, run_metric, *rest)
-                series = _add_row(grouped, shared, line_no, workload_id, ts_text, metric_text, value_text)
+                    _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
+                series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
                 run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
             if line_no == block_start:
                 break  # the block was empty, and nothing is left buffered
             if times:
                 rest, times, values = (times, values), [], []
-                _add_rest(grouped, shared, series, rest_line, run_id, run_metric, *rest)
+                _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
                 rest_line = line_no + 1
     except MalformedRowError:
         if times:  # the reader failed after the buffered rows, so a fault among them comes first
-            _add_rest(grouped, shared, series, rest_line, run_id, run_metric, times, values)
+            _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
         raise
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped
 
 
-def _add_row(grouped: IngestedMetrics, shared: Callable[[int, int], int], line_no: int,
-             workload_id: str, ts_text: str, metric_text: str, value_text: str) -> SeriesAccumulator:
+def _add_row(grouped: IngestedMetrics, line_no: int, workload_id: str, ts_text: str,
+             metric_text: str, value_text: str) -> SeriesAccumulator:
     """Check one data row and add it to its series, which it returns.
 
     This is the only place a metrics data row is rejected. A workload_id is
@@ -406,19 +397,15 @@ def _add_row(grouped: IngestedMetrics, shared: Callable[[int, int], int], line_n
     series = by_metric.get(metric)
     if series is None:
         series = by_metric[metric] = SeriesAccumulator()
-        timestamp = shared(timestamp, timestamp)  # its first time
     if not series.add_timestamp(timestamp):
         raise DuplicateSampleError(
             line_no, f"duplicate sample for {workload_id!r}/{metric.value} at t={timestamp}")
-    if series.count == 1 and series.step is not None:  # its second time set the step
-        series.step = shared(series.step, series.step)
     series.add(value)
     return series
 
 
-def _add_rest(grouped: IngestedMetrics, shared: Callable[[int, int], int], series: SeriesAccumulator,
-              first_line: int, workload_id: str, metric_text: str, ts_texts: list[str],
-              value_texts: list[str]) -> None:
+def _add_rest(grouped: IngestedMetrics, series: SeriesAccumulator, first_line: int, workload_id: str,
+              metric_text: str, ts_texts: list[str], value_texts: list[str]) -> None:
     """Add the buffered rows of one run, lines `first_line` on, to `series`.
 
     The rows are replayed through `_add_row` if a text does not convert, a
@@ -432,16 +419,12 @@ def _add_rest(grouped: IngestedMetrics, shared: Callable[[int, int], int], serie
     except ValueError:
         pass
     else:
-        step = series.step
         # a float sum is finite only if every term is, and then min and max are exact
         if (math.isfinite(sum(values)) and 0.0 <= min(values) and max(values) <= 100.0
                 and series.add_run(times, values)):
-            if step is None and series.step is not None:  # the run set the step
-                series.step = shared(series.step, series.step)
-                series.last = shared(series.last, series.last)
             return
     for line_no, ts_text, value_text in zip(count(first_line), ts_texts, value_texts):
-        _add_row(grouped, shared, line_no, workload_id, ts_text, metric_text, value_text)
+        _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
 
 
 def load_bindings(source) -> dict[str, str]:

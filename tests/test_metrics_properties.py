@@ -419,8 +419,8 @@ def one_grid_files(draw):
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(one_grid_files())
 def test_series_that_share_a_grid_stay_independent(case):
-    # ingest shares equal first times, steps and last times among series;
-    # a value shared wrongly would change another series' times
+    # series on one grid hold equal first times, steps and last times; one
+    # series' times, gaps or order must not change what another one holds
     rows, position, repeat = case
     for w, by_metric in ingest_metrics(csv_bytes(rows)).items():
         for m, series in by_metric.items():
