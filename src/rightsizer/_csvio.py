@@ -15,7 +15,8 @@ raises MalformedRowError naming the 1-based physical line:
   the last line included;
 - the first row equals the loader's header exactly;
 - every data row has as many columns as the header;
-- a numeric field read through `number` is a finite float;
+- a numeric field read through `number` is a finite float, written in
+  ASCII with no whitespace and no `_`;
 - an identifier read through `identifier` holds no control character
   (below U+0020, or U+007F), so none reaches a report or `model.dat`.
 Loaders check only their own rules on the rows they are given.
@@ -110,8 +111,15 @@ def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
 
 
 def number(line: int, name: str, text: str) -> float:
-    """The field `text` of column `name` as a finite float."""
+    """The field `text` of column `name` as a finite float in plain notation.
+
+    `float` also reads surrounding whitespace, `_` between digits and
+    non-ASCII digits. On ASCII text with no `_` and no whitespace it reads
+    exactly the plain grammar, so only such text is read.
+    """
     try:
+        if not text.isascii() or "_" in text or text.strip() != text:
+            raise ValueError
         value = float(text)
     except ValueError:
         raise MalformedRowError(line, f"{name} {text!r} is not a number") from None

@@ -310,8 +310,8 @@ IngestedMetrics = dict[str, dict[Metric, SeriesAccumulator]]
 
 _METRIC_BY_NAME = {m.value: m for m in Metric}
 
-# rows read in one block; the run a block ends in is added at its end, so
-# a long run is never buffered whole
+# the most rows of one run buffered at once: a run that reaches it is added
+# and goes on as a new run, so a long run is never buffered whole
 _BLOCK_ROWS = 4096
 
 
@@ -327,8 +327,8 @@ def ingest_metrics(source) -> IngestedMetrics:
 
     Consecutive rows of one series form a run. The first row of a run is
     checked and added by itself (`_add_row`); the rest are only buffered as
-    text and added in C-level passes (`_add_rest`) when the run ends, or
-    when a block of `_BLOCK_ROWS` rows does.
+    text and added in C-level passes (`_add_rest`) when the run ends, when
+    `_BLOCK_ROWS` of its rows are buffered, or when reading stops.
     """
     grouped: IngestedMetrics = {}
     # the current run: its key as text, the line of its first buffered row,
@@ -337,32 +337,24 @@ def ingest_metrics(source) -> IngestedMetrics:
     rest_line = 0
     times: list[str] = []
     values: list[str] = []
-    rows = iter_rows(source, METRICS_HEADER)
-    line_no = 1
+    block = _BLOCK_ROWS  # a local: it is read on every buffered row
     try:
-        while True:
-            block_start = line_no
-            for line_no, (workload_id, ts_text, metric_text, value_text) in islice(rows, _BLOCK_ROWS):
-                if workload_id == run_id and metric_text == run_metric:
-                    times.append(ts_text)
-                    values.append(value_text)
-                    continue
-                if times:
-                    # emptied first, so a fault in them leaves nothing to flush below
-                    rest, times, values = (times, values), [], []
-                    _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
-                series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
-                run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
-            if line_no == block_start:
-                break  # the block was empty, and nothing is left buffered
+        for line_no, (workload_id, ts_text, metric_text, value_text) in iter_rows(source, METRICS_HEADER):
+            if workload_id == run_id and metric_text == run_metric and line_no - rest_line < block:
+                times.append(ts_text)
+                values.append(value_text)
+                continue
             if times:
+                # emptied first, so a fault in them leaves nothing to add below
                 rest, times, values = (times, values), [], []
                 _add_rest(grouped, series, rest_line, run_id, run_metric, *rest)
-                rest_line = line_no + 1
-    except MalformedRowError:
-        if times:  # the reader failed after the buffered rows, so a fault among them comes first
+            series = _add_row(grouped, line_no, workload_id, ts_text, metric_text, value_text)
+            run_id, run_metric, rest_line = workload_id, metric_text, line_no + 1
+    finally:
+        # at the end of the input, or before a reader error propagates, so
+        # that a fault among the buffered rows is the one named
+        if times:
             _add_rest(grouped, series, rest_line, run_id, run_metric, times, values)
-        raise
     if not grouped:
         raise MalformedRowError(1, "metrics file has no data rows")
     return grouped

@@ -4,9 +4,10 @@ feasibility rule, AMPL export.
 Rows are fleet workloads, columns are catalog entries. A column j is feasible
 for row i when the workload's demand, multiplied by its utilization factor,
 fits the column's published capacities on both resources. Public functions
-number rows and columns from 1, matching the exported formulation. A sweep's
-factors are read from a 'start:end:step' spec here (`parse_sweep_spec`), so
-that the CLI can check `--sweep` without loading the analyses.
+number rows and columns from 1, matching the paper's notation; `model.dat`
+names them by workload id and type key instead. A sweep's factors are read
+from a 'start:end:step' spec here (`parse_sweep_spec`), so that the CLI can
+check `--sweep` without loading the analyses.
 """
 
 from __future__ import annotations

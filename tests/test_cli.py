@@ -457,6 +457,32 @@ def test_an_identifier_with_a_control_character_exits_1_naming_its_line(inputs, 
     assert not out.exists()
 
 
+# --- numbers in catalog and policy files ------------------------------------------
+
+# (file, the row added to it, the line that row lands on, the column of {n})
+BAD_NUMBER_ROWS = {
+    "catalog-cpu_ecu": ("catalog.csv", "lin.d.small.r1,{n},4.0,0.10", 5, "cpu_ecu"),
+    "catalog-mem_gib": ("catalog.csv", "lin.d.small.r1,2.0,{n},0.10", 5, "mem_gib"),
+    "catalog-cost_per_hour": ("catalog.csv", "lin.d.small.r1,2.0,4.0,{n}", 5, "cost_per_hour"),
+    "policy-delta": ("policy.csv", "w2,{n}", 3, "delta"),
+}
+
+
+# each is a number to `float`, which reads 10.0, 2.5, 2.5 and 4.0
+@pytest.mark.parametrize("number", ["1_0", " 2.5", "2.5 ", "\u0664"],
+                         ids=["underscore", "leading-space", "trailing-space", "arabic-indic-digit"])
+@pytest.mark.parametrize("case", sorted(BAD_NUMBER_ROWS))
+def test_a_number_not_in_plain_ascii_exits_1_naming_its_line(inputs, tmp_path, capsys, case, number):
+    name, row, line, column = BAD_NUMBER_ROWS[case]
+    (inputs / "policy.csv").write_text("workload_id,delta\nw1,2.0\n")
+    path = inputs / name
+    path.write_bytes(path.read_bytes() + row.format(n=number).encode() + b"\n")
+    out = tmp_path / "out"
+    assert run(inputs, "optimize", "--policy", str(inputs / "policy.csv"), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {column} {number!r} is not a number\n"
+    assert not out.exists()
+
+
 def test_an_identifier_may_hold_spaces_and_characters_past_ascii(inputs, tmp_path):
     workload = "w 2\u00a0\u00e9\u0085"
     (inputs / "metrics.csv").write_text(METRICS + METRICS.split("\n", 1)[1].replace("w1", workload),

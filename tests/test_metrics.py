@@ -269,28 +269,37 @@ def test_a_buffered_fault_comes_before_a_bad_first_row_of_the_next_run(next_row)
     assert str(exc.value) == "line 42: value 'ten' is not a number"
 
 
-# data row k is on line k + 1; ingest reads the rows in blocks, and the
-# first block ends with data row BLOCK, in the middle of a longer run
+# A run's first row is added by itself and its next BLOCK rows are buffered,
+# so the row after those starts a new run of the same series. START rows of
+# another series go first in the second case, so that the cap falls mid-file
+# and not after a multiple of BLOCK data rows.
 BLOCK = metrics_module._BLOCK_ROWS
+START = 7
 
 
-@pytest.mark.parametrize("index", [BLOCK - 1, BLOCK, BLOCK + 1],
-                         ids=["last-of-block", "first-after-block", "second-after-block"])
+def other_rows(start):
+    return [f"w2,{100 * k},mem,1" for k in range(start)]
+
+
+@pytest.mark.parametrize("start", [0, START])
+@pytest.mark.parametrize("index", [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2],
+                         ids=["last-but-one-buffered", "last-buffered", "first-after-cap", "second-after-cap"])
 @pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
-def test_a_fault_next_to_a_block_boundary_is_named_as_in_a_short_run(fault, index):
+def test_a_fault_next_to_a_block_boundary_is_named_as_in_a_short_run(fault, index, start):
     rows = run_rows(BLOCK + RUN)
     bad = RUN_FAULTS[fault](100 * (index - 1))
     with pytest.raises(RowError) as short:
         ingest_metrics(metrics_bytes(rows[index - 1], bad))
     rows[index] = bad
     with pytest.raises(type(short.value)) as long:
-        ingest_metrics(metrics_bytes(*rows))
-    assert str(long.value) == str(short.value).replace("line 3:", f"line {index + 2}:")
+        ingest_metrics(metrics_bytes(*other_rows(start), *rows))
+    assert str(long.value) == str(short.value).replace("line 3:", f"line {start + index + 2}:")
 
 
-def test_a_long_run_is_added_in_blocks_so_its_peak_memory_does_not_grow_with_it():
+@pytest.mark.parametrize("start", [0, START])
+def test_a_long_run_is_added_in_blocks_so_its_peak_memory_does_not_grow_with_it(start):
     rows = [f"w1,{1_704_067_200 + 300 * k},cpu,{k % 89}.5" for k in range(100_000)]
-    data = metrics_bytes(*rows)
+    data = metrics_bytes(*other_rows(start), *rows)
     ingest_metrics(metrics_bytes(*rows[:100]))  # first use, so lazily made objects do not count
     tracemalloc.start()
     try:
@@ -310,6 +319,15 @@ def test_a_buffered_fault_comes_before_a_reader_error_later_in_its_run(later):
     with pytest.raises(MalformedRowError) as exc:
         ingest_metrics(metrics_bytes(*rows)[:-1] + b"\n" + later + b"\n")
     assert str(exc.value) == "line 42: value 'ten' is not a number"
+
+
+def test_a_buffered_fault_comes_before_an_error_of_the_stream_itself():
+    def lines():
+        yield from metrics_bytes("w1,100,cpu,1", "w1,200,cpu,ten").splitlines(keepends=True)
+        raise OSError("read failed")
+    with pytest.raises(MalformedRowError) as exc:
+        ingest_metrics(lines())
+    assert str(exc.value) == "line 3: value 'ten' is not a number"
 
 
 def test_a_reader_error_after_a_clean_run_is_named():
@@ -418,6 +436,18 @@ def test_demand_stats_clamped_at_100():
 def test_demand_stats_needs_two_samples():
     with pytest.raises(InsufficientSamplesError):
         compute_demand_stats([42.0])
+
+
+def test_the_mean_of_no_samples_is_refused():
+    with pytest.raises(InsufficientSamplesError) as exc:
+        metrics_module.SeriesAccumulator().mean()
+    assert str(exc.value) == "need at least 1 sample, got 0"
+
+
+def test_a_run_is_not_added_to_a_series_that_holds_no_time():
+    series = metrics_module.SeriesAccumulator()
+    assert series.add_run([100, 200], [1.5, 2.5]) is False
+    assert (series.count, series.total, series.exponent, series.first, series.step) == (0, 0, 0, None, None)
 
 
 def test_demand_translation_monotone():
