@@ -16,7 +16,8 @@ raises MalformedRowError naming the 1-based physical line:
 - the first row equals the loader's header exactly;
 - every data row has as many columns as the header;
 - a numeric field read through `number` is a finite float, written in
-  ASCII with no whitespace and no `_`;
+  ASCII with no whitespace and no `_` (`plain`, which the CLI's number
+  flags share);
 - an identifier read through `identifier` holds no control character
   (below U+0020, or U+007F), so none reaches a report or `model.dat`.
 Loaders check only their own rules on the rows they are given.
@@ -110,15 +111,21 @@ def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def number(line: int, name: str, text: str) -> float:
-    """The field `text` of column `name` as a finite float in plain notation.
+def plain(text: str) -> bool:
+    """Whether `float` and `int` read `text` by their plain grammar alone.
 
-    `float` also reads surrounding whitespace, `_` between digits and
-    non-ASCII digits. On ASCII text with no `_` and no whitespace it reads
-    exactly the plain grammar, so only such text is read.
+    Both also read surrounding whitespace, `_` between digits and non-ASCII
+    digits. On ASCII text with no `_` and no whitespace at either end they
+    read exactly the plain grammar, so every number the package reads from
+    a file or a flag must pass this first.
     """
+    return text.isascii() and "_" not in text and text.strip() == text
+
+
+def number(line: int, name: str, text: str) -> float:
+    """The field `text` of column `name` as a finite float in plain notation (see `plain`)."""
     try:
-        if not text.isascii() or "_" in text or text.strip() != text:
+        if not plain(text):
             raise ValueError
         value = float(text)
     except ValueError:

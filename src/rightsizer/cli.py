@@ -13,6 +13,7 @@ import os
 import re
 import sys
 
+from ._csvio import plain
 from .catalog import HOURS_PER_YEAR, load_catalog
 from .errors import ConfigError, RightsizerError
 from .metrics import build_fleet, ingest_metrics, load_bindings
@@ -83,8 +84,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _plain(convert):
+    """An argparse type that converts the text only when it is plain (`_csvio.plain`)."""
+    def parse(text: str):
+        if not plain(text):
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value: ..."
+    return parse
+
+
 def _at_least(convert, low, message: str):
-    """An argparse type that converts the text and refuses a value below low or not finite."""
+    """An argparse type that converts plain text and refuses a value below low or not finite."""
+    convert = _plain(convert)
+
     def parse(text: str):
         value = convert(text)
         if not low <= value < math.inf:
@@ -254,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate deterministic synthetic metrics and bindings")
     p.add_argument("--catalog", required=True, help="catalog CSV path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_plain(int), default=0)
     p.add_argument("--count", type=_count, default=8, help="number of workloads")
     p.add_argument("--samples", type=_samples, default=24, help="samples per series")
     p.set_defaults(func=cmd_synth)

@@ -16,7 +16,7 @@ import math
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from ._csvio import identifier, iter_rows, number
+from ._csvio import identifier, iter_rows, number, plain
 from ._frozen import Frozen
 from .catalog import Catalog
 from .errors import (
@@ -81,11 +81,16 @@ def load_policy(source, default: float) -> UtilizationPolicy:
 
 
 def parse_sweep_spec(spec: str) -> tuple[float, ...]:
-    """Expand 'start:end:step' into an inclusive, strictly increasing factor list."""
+    """Expand 'start:end:step' into an inclusive, strictly increasing factor list.
+
+    Each part is read as a number only when it is plain (`_csvio.plain`).
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep spec {spec!r} must be start:end:step")
     try:
+        if not all(map(plain, parts)):
+            raise ValueError
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"sweep spec {spec!r} has a non-numeric part") from None

@@ -384,6 +384,47 @@ lin.c.large.r1,8.0,16.0,400
     assert not out.exists() or not any(out.iterdir())
 
 
+# --- number flags ---------------------------------------------------------------------
+
+# each number flag as (command, flag, value with the spelling put at {}); every
+# spelling below reads through float or int as a value the flag would take
+NUMBER_FLAGS = {
+    "delta": ("optimize", "--delta", "{}"),
+    "hours-per-year": ("optimize", "--hours-per-year", "{}"),
+    "sweep-start": ("sweep", "--sweep", "{}:20:5"),
+    "sweep-end": ("sweep", "--sweep", "1:{}:1"),
+    "sweep-step": ("sweep", "--sweep", "1:2:{}"),
+    "seed": ("synth", "--seed", "{}"),
+    "count": ("synth", "--count", "{}"),
+    "samples": ("synth", "--samples", "{}"),
+}
+LENIENT_SPELLINGS = {"underscore": "1_5", "leading-space": " 2", "arabic-indic-five": "\u0665"}
+
+
+@pytest.mark.parametrize("spelling", sorted(LENIENT_SPELLINGS))
+@pytest.mark.parametrize("flag_name", sorted(NUMBER_FLAGS))
+def test_a_number_flag_reads_only_plain_ascii(inputs, tmp_path, capsys, flag_name, spelling):
+    command, flag, value = NUMBER_FLAGS[flag_name]
+    value = value.format(LENIENT_SPELLINGS[spelling])
+    out = tmp_path / "out"
+    if command == "synth":
+        code = main(["synth", "--catalog", str(inputs / "catalog.csv"), flag, value, "--out", str(out)])
+    else:
+        code = run(inputs, command, flag, value, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    named = (f"error: sweep spec {value!r} has a non-numeric part" if flag == "--sweep"
+             else f"error: argument {flag}: invalid ")
+    assert err.startswith(named) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, expected", [("+2", 2.0), ("2.", 2.0), (".5e1", 5.0), ("1E0", 1.0)])
+def test_a_sweep_part_still_reads_a_sign_a_bare_point_and_an_exponent(inputs, tmp_path, value, expected):
+    assert run(inputs, "sweep", "--sweep", f"{value}:{value}:1", "--out", str(tmp_path / "out")) == 0
+    assert parse_sweep_spec(f"{value}:{value}:1") == (expected,)
+
+
 # --- export-ampl ------------------------------------------------------------------
 
 def test_export_ampl_files(inputs, tmp_path):
