@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .catalog import Catalog, InstanceType
 from .errors import BudgetExceededError, RowMismatchError
@@ -25,9 +25,9 @@ DEFAULT_BRUTEFORCE_BUDGET = 1_000_000
 
 
 class AssignmentSolution(NamedTuple):
-    """Chosen column per row (both 1-based) and the hourly cost, summed with math.fsum."""
+    """Row i's chosen 1-based catalog column at columns[i - 1], and the hourly cost by math.fsum."""
 
-    assignment: dict[int, int]
+    columns: tuple[int, ...]
     total_hourly_cost: float
 
 
@@ -52,36 +52,24 @@ class Violation(NamedTuple):
     detail: str
 
 
-def _coverage_faults(assignment: Mapping[int, int], rows: int, columns: int) -> Iterator[tuple[int, str]]:
-    # The coverage rule: every row of 1..rows takes one column of 1..columns.
-    # Yields (row, detail) for each row without a column and each pair
-    # outside rows x columns, in row order.
-    for i in sorted(assignment.keys() | range(1, rows + 1)):
-        j = assignment.get(i)
-        if j is None:
-            yield i, f"row {i} has no assigned column"
-        elif not 1 <= i <= rows:
-            yield i, f"row {i} is assigned column {j}, fleet has rows 1..{rows}"
-        elif not 1 <= j <= columns:
-            yield i, f"row {i} is assigned column {j}, catalog has columns 1..{columns}"
+def _coverage_faults(columns: tuple[int, ...], rows: int, n: int) -> Iterator[tuple[int | None, str]]:
+    # The coverage rule: one column of 1..n for each of the rows 1..rows.
+    # Yields (row, detail) for a row count other than rows (with row None),
+    # then for each column outside 1..n, in row order.
+    if len(columns) != rows:
+        yield None, f"solution assigns rows 1..{len(columns)}, fleet has rows 1..{rows}"
+    for i, j in enumerate(columns, 1):
+        if not 1 <= j <= n:
+            yield i, f"row {i} is assigned column {j}, catalog has columns 1..{n}"
 
 
 def assigned_types(solution: AssignmentSolution, catalog: Catalog, rows: int) -> list[InstanceType]:
-    """The catalog entry each of rows 1..rows is assigned, in row order.
-
-    Raises RowMismatchError naming the first row at fault when the solution
-    does not assign exactly the rows 1..rows, or assigns a column outside
-    the catalog; `validate_solution` reports the same faults as data.
-    """
-    assignment, entries = solution.assignment, catalog.entries
-    # C-level checks accept what `solve_sweep` builds: rows 1..rows in order,
-    # each with a column in the catalog; the row walk is for naming a fault
-    if (list(assignment) == list(range(1, rows + 1))
-            and set(assignment.values()).issubset(range(1, len(entries) + 1))):
-        return [entries[j - 1] for j in assignment.values()]
-    for _, detail in _coverage_faults(assignment, rows, len(entries)):
+    """The catalog entry of each of rows 1..rows, in row order; RowMismatchError names
+    the first fault, which `validate_solution` reports as a CoverageViolation."""
+    entries = catalog.entries
+    for _, detail in _coverage_faults(solution.columns, rows, len(entries)):
         raise RowMismatchError(detail)
-    return [entries[assignment[i] - 1] for i in range(1, rows + 1)]
+    return [entries[j - 1] for j in solution.columns]
 
 
 def _column_order(catalog: Catalog) -> tuple[tuple[float, float, float, str], ...]:
@@ -153,7 +141,7 @@ def solve_sweep(model: AssignmentModel, factors: Iterable[float]) -> Iterator[As
             yield Infeasible(tuple(missing))
         else:
             # start[i] is now the place of row i's column in the staircase
-            yield AssignmentSolution(dict(enumerate(map(columns.__getitem__, start), 1)),
+            yield AssignmentSolution(tuple(map(columns.__getitem__, start)),
                                      math.fsum(map(price.__getitem__, start)))
 
 
@@ -184,7 +172,7 @@ def solve_bruteforce(model: AssignmentModel,
     order = _column_order(model.catalog)
     best = min(itertools.product(*allowed),
                key=lambda combo: (math.fsum(price[j] for j in combo), tuple(order[j] for j in combo)))
-    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(best)}, math.fsum(price[j] for j in best))
+    return AssignmentSolution(tuple(j + 1 for j in best), math.fsum(price[j] for j in best))
 
 
 def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> list[Violation]:
@@ -194,19 +182,19 @@ def validate_solution(model: AssignmentModel, solution: AssignmentSolution) -> l
     column, every assigned cell is feasible, and the reported total equals the
     math.fsum of the assigned costs. Violations are data, not errors.
     """
+    columns, entries = solution.columns, model.catalog.entries
     violations = [Violation("CoverageViolation", i, detail)
-                  for i, detail in _coverage_faults(solution.assignment, model.row_count, model.column_count)]
+                  for i, detail in _coverage_faults(columns, model.row_count, len(entries))]
     faulty = {v.row for v in violations}
-    for i, j in sorted(solution.assignment.items()):
+    for i, (w, j) in enumerate(zip(model.fleet.workloads, columns), 1):
         if i not in faulty and not model.fits(i - 1, j - 1):
-            w = model.fleet.workloads[i - 1]
-            e = model.catalog.entries[j - 1]
+            e = entries[j - 1]
             violations.append(Violation(
                 "CapacityViolation", i,
                 f"{w.id!r} needs {model.scaled_cpu[i - 1]:.6g} ECU / {model.scaled_mem[i - 1]:.6g} GiB "
                 f"but {e.key!r} supplies {e.cpu_capacity:.6g} / {e.mem_capacity:.6g}"))
     if not faulty:
-        recomputed = math.fsum(e.hourly_cost for e in assigned_types(solution, model.catalog, model.row_count))
+        recomputed = math.fsum(entries[j - 1].hourly_cost for j in columns)
         if recomputed != solution.total_hourly_cost:
             violations.append(Violation(
                 "CostMismatch", None,

@@ -111,7 +111,7 @@ def test_criterion_4_annual_projection_anchor():
             InstanceType("os.small.y.r1", 4.0, 8.0, 10.15),
         ))
         fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
-        report = project_costs(fleet, catalog, AssignmentSolution({1: 2}, 10.15),
+        report = project_costs(fleet, catalog, AssignmentSolution((2,), 10.15),
                                hours_per_year=8760)
         assert report.baseline_annual == pytest.approx(184748.40, abs=1e-6)
         assert report.target_annual == pytest.approx(88914.00, abs=1e-6)
@@ -201,7 +201,7 @@ def test_criterion_9_consolidation_accounting():
                 continue
             report = consolidation_report(model.fleet, model.catalog, result)
             assert sum(e.workload_count for e in report.flow_edges) == len(model.fleet.workloads)
-            assigned = {model.catalog.entries[j - 1].key for j in result.assignment.values()}
+            assigned = {model.catalog.entries[j - 1].key for j in result.columns}
             assert report.target_type_count == len(assigned)
             checked += 1
         assert checked > 0

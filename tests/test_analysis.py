@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import abc_catalog, random_trial_model
+from helpers import abc_catalog, model_for, random_trial_model
 from rightsizer import reports
 from rightsizer import (
     AssignmentSolution,
@@ -22,6 +22,7 @@ from rightsizer import (
     solve_exact,
     t_test,
     utilization_report,
+    validate_solution,
 )
 from rightsizer.errors import (
     DegenerateVarianceError,
@@ -44,7 +45,7 @@ def anchor_catalog():
 
 def test_annual_projection_anchor():
     fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
-    report = project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 2}, 10.15))
+    report = project_costs(fleet, anchor_catalog(), AssignmentSolution((2,), 10.15))
     assert report.baseline_hourly == pytest.approx(21.09)
     assert report.baseline_annual == pytest.approx(184748.40)
     assert report.target_hourly == pytest.approx(10.15)
@@ -54,7 +55,7 @@ def test_annual_projection_anchor():
 
 def test_zero_savings_when_assignment_is_identity():
     fleet = Fleet((WorkloadProfile("w1", "os.big.x.r1", 1.0, 2.0),))
-    report = project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 1}, 21.09))
+    report = project_costs(fleet, anchor_catalog(), AssignmentSolution((1,), 21.09))
     assert report.savings_fraction == 0.0
     assert report.per_workload[0].delta == 0.0
 
@@ -78,7 +79,7 @@ def test_project_costs_rejects_partial_solution():
         WorkloadProfile("w2", "os.big.x.r1", 1.0, 2.0),
     ))
     with pytest.raises(RowMismatchError):
-        project_costs(fleet, anchor_catalog(), AssignmentSolution({1: 1}, 21.09))
+        project_costs(fleet, anchor_catalog(), AssignmentSolution((1,), 21.09))
 
 
 def test_totals_do_not_depend_on_fleet_order():
@@ -87,7 +88,7 @@ def test_totals_do_not_depend_on_fleet_order():
     catalog = abc_catalog()
     fleet = Fleet(tuple(WorkloadProfile(f"w{i}", catalog.entries[j - 1].key, 0.5, 0.5)
                         for i, j in enumerate((1, 2, 3, 3, 2), start=1)))
-    solution = AssignmentSolution(dict(enumerate((2, 2, 3, 3, 1), start=1)), 1.3)
+    solution = AssignmentSolution((2, 2, 3, 3, 1), 1.3)
     report = project_costs(fleet, catalog, solution)
     assert report.baseline_hourly == report.target_hourly == 1.3
     assert report.savings_fraction == 0.0
@@ -109,13 +110,33 @@ def two_row_fleet():
 def test_analyses_reject_out_of_range_column(analysis, column):
     # abc_catalog has columns 1..3; column 0 or -1 must not wrap to the last type
     with pytest.raises(RowMismatchError, match=f"row 2 is assigned column {column}, catalog has columns 1..3"):
-        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution({1: 1, 2: column}, 0.2))
+        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution((1, column), 0.2))
 
 
 @pytest.mark.parametrize("analysis", SOLUTION_READERS)
 def test_analyses_reject_a_missing_row(analysis):
-    with pytest.raises(RowMismatchError, match="^row 2 has no assigned column$"):
-        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution({1: 1}, 0.1))
+    with pytest.raises(RowMismatchError, match=r"^solution assigns rows 1\.\.1, fleet has rows 1\.\.2$"):
+        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution((1,), 0.1))
+
+
+@pytest.mark.parametrize("analysis", SOLUTION_READERS)
+def test_analyses_reject_an_extra_row(analysis):
+    with pytest.raises(RowMismatchError, match=r"^solution assigns rows 1\.\.3, fleet has rows 1\.\.2$"):
+        analysis(two_row_fleet(), abc_catalog(), AssignmentSolution((1, 1, 1), 0.3))
+
+
+@pytest.mark.parametrize("columns, detail", [
+    ((1,), "solution assigns rows 1..1, fleet has rows 1..2"),
+    ((1, 1, 1), "solution assigns rows 1..3, fleet has rows 1..2"),
+    ((1, 0), "row 2 is assigned column 0, catalog has columns 1..3"),
+    ((1, -1), "row 2 is assigned column -1, catalog has columns 1..3"),
+    ((1, 4), "row 2 is assigned column 4, catalog has columns 1..3"),
+], ids=["short", "long", "column-0", "column--1", "column-N+1"])
+def test_validation_names_each_fault_the_readers_refuse(columns, detail):
+    # the readers above refuse each of these solutions with the same text
+    model = model_for(two_row_fleet(), abc_catalog(), 1.0)
+    violations = validate_solution(model, AssignmentSolution(columns, 0.1 * len(columns)))
+    assert [(v.kind, v.detail) for v in violations] == [("CoverageViolation", detail)]
 
 
 # --- sweep -------------------------------------------------------------------
@@ -211,7 +232,7 @@ def test_utilization_fractions():
         InstanceType("os.tgt.y.r1", 2.0, 4.0, 0.10),
     ))
     fleet = Fleet((WorkloadProfile("w1", "os.cur.x.r1", 1.6, 2.0),))
-    report = utilization_report(fleet, catalog, AssignmentSolution({1: 2}, 0.10))
+    report = utilization_report(fleet, catalog, AssignmentSolution((2,), 0.10))
     row = report.per_workload[0]
     assert row.source_cpu_util == pytest.approx(0.40)
     assert row.target_cpu_util == pytest.approx(0.80)
@@ -225,7 +246,7 @@ def test_identity_assignment_keeps_utilization():
         WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0),
         WorkloadProfile("w2", "lin.b.medium.r1", 2.4, 3.0),
     ))
-    report = utilization_report(fleet, catalog, AssignmentSolution({1: 1, 2: 2}, 0.30))
+    report = utilization_report(fleet, catalog, AssignmentSolution((1, 2), 0.30))
     for row in report.per_workload:
         assert row.source_cpu_util == row.target_cpu_util
         assert row.source_mem_util == row.target_mem_util
@@ -254,13 +275,13 @@ def test_utilization_that_overflows_is_refused():
     ))
     fleet = Fleet((WorkloadProfile("w1", "os.cur.x.r1", 1e308, 2.0),))
     with pytest.raises(ValueError, match=r"^source_cpu utilization holds inf, which is not a finite number$"):
-        utilization_report(fleet, catalog, AssignmentSolution({1: 2}, 0.10))
+        utilization_report(fleet, catalog, AssignmentSolution((2,), 0.10))
 
 
 def test_single_workload_report_skips_ttest():
     catalog = abc_catalog()
     fleet = Fleet((WorkloadProfile("w1", "lin.a.small.r1", 0.8, 1.0),))
-    report = utilization_report(fleet, catalog, AssignmentSolution({1: 1}, 0.10))
+    report = utilization_report(fleet, catalog, AssignmentSolution((1,), 0.10))
     assert report.cpu_ttest is None
     assert report.mem_ttest is None
 
@@ -335,7 +356,7 @@ def test_consolidation_tally():
         WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
         WorkloadProfile("w3", "lin.b.medium.r1", 0.5, 1.0),
     ))
-    report = consolidation_report(fleet, catalog, AssignmentSolution({1: 1, 2: 1, 3: 1}, 0.30))
+    report = consolidation_report(fleet, catalog, AssignmentSolution((1, 1, 1), 0.30))
     assert report.source_type_count == 2
     assert report.target_type_count == 1
     assert [(e.source_type, e.target_type, e.workload_count) for e in report.flow_edges] == [
@@ -350,7 +371,7 @@ def test_consolidation_identity_assignment():
         WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
         WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0),
     ))
-    report = consolidation_report(fleet, catalog, AssignmentSolution({1: 1, 2: 2}, 0.30))
+    report = consolidation_report(fleet, catalog, AssignmentSolution((1, 2), 0.30))
     assert report.source_type_count == report.target_type_count == 2
     assert all(e.source_type == e.target_type for e in report.flow_edges)
 
@@ -361,7 +382,7 @@ def test_consolidation_disjoint_sets():
         WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
         WorkloadProfile("w2", "lin.b.medium.r1", 0.5, 1.0),
     ))
-    report = consolidation_report(fleet, catalog, AssignmentSolution({1: 3, 2: 3}, 0.80))
+    report = consolidation_report(fleet, catalog, AssignmentSolution((3, 3), 0.80))
     assert report.target_type_count == 1
     assert sum(e.workload_count for e in report.flow_edges) == 2
 
@@ -375,5 +396,5 @@ def test_consolidation_counts_sum_to_fleet_size():
             continue
         report = consolidation_report(model.fleet, model.catalog, solution)
         assert sum(e.workload_count for e in report.flow_edges) == len(model.fleet.workloads)
-        assigned = {model.catalog.entries[j - 1].key for j in solution.assignment.values()}
+        assigned = {model.catalog.entries[j - 1].key for j in solution.columns}
         assert report.target_type_count == len(assigned)

@@ -71,10 +71,11 @@ def solve_exported(model, integral=True):
 def assignment_of(result, model):
     """The solver's 0/1 Trans, rounded, as a solution with an fsum total."""
     n = model.column_count
-    chosen = {i + 1: j + 1 for i in range(model.row_count) for j in range(n)
-              if round(result.x[i * n + j]) == 1}
+    # in row order, so a row with no 1 or two of them leaves a tuple of the wrong length
+    chosen = tuple(j + 1 for i in range(model.row_count) for j in range(n)
+                   if round(result.x[i * n + j]) == 1)
     return AssignmentSolution(chosen, math.fsum(model.catalog.entries[j - 1].hourly_cost
-                                                for j in chosen.values()))
+                                                for j in chosen))
 
 
 def mixed_policy(fleet, default):

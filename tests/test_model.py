@@ -106,7 +106,7 @@ def test_feasibility_readers_agree_at_exact_capacity():
         (True, True, True), (False, True, True), (False, True, True), (True, True, True))
     for j in range(model.column_count):
         refused = {v.row for v in validate_solution(
-            model, AssignmentSolution({i: j + 1 for i in range(1, 5)}, 4 * model.catalog.entries[j].hourly_cost))}
+            model, AssignmentSolution((j + 1,) * 4, 4 * model.catalog.entries[j].hourly_cost))}
         for i in range(model.row_count):
             in_set = j + 1 in feasible_set(model, i + 1)
             assert in_set == model.feasible[i][j] == (i + 1 not in refused)

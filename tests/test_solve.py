@@ -39,7 +39,7 @@ def enumerate_best_total(model):
 def test_cheapest_feasible_column_wins():
     model = model_for(one_workload_fleet(), abc_catalog(), 1.0)
     solution = solve_exact(model)
-    assert solution.assignment == {1: 1}
+    assert solution.columns == (1,)
     assert solution.total_hourly_cost == pytest.approx(0.10)
     assert solution.total_hourly_cost == pytest.approx(enumerate_best_total(model))
 
@@ -47,7 +47,7 @@ def test_cheapest_feasible_column_wins():
 def test_factor_pushes_to_next_size():
     model = model_for(one_workload_fleet(), abc_catalog(), 1.5)
     solution = solve_exact(model)
-    assert solution.assignment == {1: 2}
+    assert solution.columns == (2,)
     assert solution.total_hourly_cost == pytest.approx(0.20)
     assert solution.total_hourly_cost == pytest.approx(enumerate_best_total(model))
 
@@ -70,7 +70,7 @@ def test_tie_break_prefers_smaller_capacity_then_key():
     fleet = one_workload_fleet(cpu=1.0, mem=2.0, current_type="os.b.big.r")
     model = model_for(fleet, Catalog(entries), 1.0)
     for solver in (solve_exact, solve_bruteforce):
-        assert solver(model).assignment == {1: 2}
+        assert solver(model).columns == (2,)
 
 
 @pytest.mark.parametrize("twin, winner", [
@@ -88,7 +88,7 @@ def test_first_fit_across_dominated_columns_at_every_factor(twin, winner):
     for factor, result in zip(factors, solve_sweep(model_for(fleet, catalog, 1.0), factors)):
         assert result == solve_bruteforce(model_for(fleet, catalog, factor))
         chosen.append(None if isinstance(result, Infeasible)
-                      else catalog.entries[result.assignment[1] - 1].key)
+                      else catalog.entries[result.columns[0] - 1].key)
     # 0.9 x 1.0 fits the small column; 0.9 x 1.25 .. 4.25 fits only a big one; 0.9 x 4.5 fits none
     assert chosen == ["lin.a.small.r1"] + [winner] * 13 + [None] * 3
 
@@ -110,7 +110,7 @@ def test_sweep_starts_every_row_afresh_after_a_factor_that_is_not_positive():
     model = model_for(one_workload_fleet(cpu=0.0, mem=0.0), abc_catalog(), 1.0)
     first, second = solve_sweep(model, [-math.inf, 1.0])
     assert [r.workload_id for r in first.rows] == ["w1"]
-    assert second == solve_exact(model) == AssignmentSolution({1: 1}, 0.10)
+    assert second == solve_exact(model) == AssignmentSolution((1,), 0.10)
 
 
 def test_sweep_over_no_factors_yields_nothing():
@@ -124,14 +124,14 @@ def test_bruteforce_two_rows():
     ))
     model = model_for(fleet, abc_catalog(), 1.0)
     solution = solve_bruteforce(model)
-    assert solution.assignment == {1: 1, 2: 1}
+    assert solution.columns == (1, 1)
     assert solution.total_hourly_cost == pytest.approx(0.20)
 
 
 def test_bruteforce_single_cell():
     catalog = Catalog((InstanceType("lin.a.small.r1", 2.0, 4.0, 0.10),))
     model = model_for(one_workload_fleet(), catalog, 1.0)
-    assert solve_bruteforce(model).assignment == {1: 1}
+    assert solve_bruteforce(model).columns == (1,)
 
 
 def test_bruteforce_budget_exceeded():
@@ -153,14 +153,14 @@ def test_validate_clean_solution():
 
 def test_validate_flags_capacity_violation():
     model = model_for(one_workload_fleet(), abc_catalog(), 1.5)
-    bad = AssignmentSolution({1: 1}, 0.10)  # column 1 is infeasible at this factor
+    bad = AssignmentSolution((1,), 0.10)  # column 1 is infeasible at this factor
     kinds = [v.kind for v in validate_solution(model, bad)]
     assert kinds == ["CapacityViolation"]
 
 
 def test_validate_flags_cost_mismatch():
     model = model_for(one_workload_fleet(), abc_catalog(), 1.5)
-    bad = AssignmentSolution({1: 2}, 0.30)
+    bad = AssignmentSolution((2,), 0.30)
     kinds = [v.kind for v in validate_solution(model, bad)]
     assert kinds == ["CostMismatch"]
 
@@ -171,35 +171,35 @@ def test_validate_flags_missing_row():
         WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
     ))
     model = model_for(fleet, abc_catalog(), 1.0)
-    bad = AssignmentSolution({1: 1}, 0.10)
-    kinds = [v.kind for v in validate_solution(model, bad)]
-    assert "CoverageViolation" in kinds
+    assert validate_solution(model, AssignmentSolution((1,), 0.10)) == [
+        Violation("CoverageViolation", None, "solution assigns rows 1..1, fleet has rows 1..2")]
 
 
-@pytest.mark.parametrize("assignment, row, detail", [
-    ({1: 1, 2: 1, 3: 1}, 3, "row 3 is assigned column 1, fleet has rows 1..2"),
-    ({0: 1, 1: 1, 2: 1}, 0, "row 0 is assigned column 1, fleet has rows 1..2"),
-    ({1: 1, 2: 4}, 2, "row 2 is assigned column 4, catalog has columns 1..3"),
-    ({1: 1, 2: 0}, 2, "row 2 is assigned column 0, catalog has columns 1..3"),
-], ids=["row-after", "row-0", "column-after", "column-0"])
-def test_validate_flags_a_pair_outside_the_matrix(assignment, row, detail):
+@pytest.mark.parametrize("columns, faults", [
+    ((1, 1, 1), [(None, "solution assigns rows 1..3, fleet has rows 1..2")]),
+    ((1, 4), [(2, "row 2 is assigned column 4, catalog has columns 1..3")]),
+    ((1, 0), [(2, "row 2 is assigned column 0, catalog has columns 1..3")]),
+    ((-1, 1, 4), [(None, "solution assigns rows 1..3, fleet has rows 1..2"),
+                  (1, "row 1 is assigned column -1, catalog has columns 1..3"),
+                  (3, "row 3 is assigned column 4, catalog has columns 1..3")]),
+], ids=["row-count", "column-after", "column-0", "row-count-then-columns"])
+def test_validate_flags_a_pair_outside_the_matrix(columns, faults):
     fleet = Fleet((
         WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
         WorkloadProfile("w2", "lin.a.small.r1", 0.5, 1.0),
     ))
     model = model_for(fleet, abc_catalog(), 1.0)
-    assert validate_solution(model, AssignmentSolution(assignment, 0.2)) == [
-        Violation("CoverageViolation", row, detail)]
+    assert validate_solution(model, AssignmentSolution(columns, 0.2)) == [
+        Violation("CoverageViolation", row, detail) for row, detail in faults]
 
 
-def test_assigned_types_reads_a_complete_assignment_in_any_key_order():
+def test_assigned_types_reads_each_row_at_its_place():
     catalog = abc_catalog()
     expected = [catalog.entries[2], catalog.entries[0], catalog.entries[1]]
-    assert assigned_types(AssignmentSolution({1: 3, 2: 1, 3: 2}, 0.7), catalog, 3) == expected
-    assert assigned_types(AssignmentSolution({3: 2, 1: 3, 2: 1}, 0.7), catalog, 3) == expected
-    # the first fault in row order is named, whatever the order of the keys
+    assert assigned_types(AssignmentSolution((3, 1, 2), 0.7), catalog, 3) == expected
+    # the first fault in row order is named
     with pytest.raises(RowMismatchError, match="^row 1 is assigned column 4, catalog has columns 1..3$"):
-        assigned_types(AssignmentSolution({3: 0, 1: 4, 2: 1}, 0.7), catalog, 3)
+        assigned_types(AssignmentSolution((4, 1, 0), 0.7), catalog, 3)
 
 
 # --- properties ---------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_assignment_invariant_under_uniform_price_shift():
         if isinstance(before, Infeasible):
             assert after == before
         else:
-            assert after.assignment == before.assignment
+            assert after.columns == before.columns
 
 
 def test_extra_column_never_hurts():

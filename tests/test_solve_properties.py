@@ -153,8 +153,7 @@ def first_fit_by_row(model):
                     for i, (w, j) in enumerate(zip(model.fleet.workloads, chosen)) if j is None)
     if missing:
         return Infeasible(missing)
-    return AssignmentSolution({i + 1: j + 1 for i, j in enumerate(chosen)},
-                              math.fsum(entries[j].hourly_cost for j in chosen))
+    return AssignmentSolution(tuple(j + 1 for j in chosen), math.fsum(entries[j].hourly_cost for j in chosen))
 
 
 @PROPERTY_SETTINGS
@@ -202,24 +201,21 @@ def test_sweep_rows_going_infeasible_part_way_match_each_case_solved_alone(sweep
         else:
             assert case.infeasible_ids == ()
             assert case.total_hourly == alone.total_hourly_cost
-            assert case.assignment == {w.id: catalog.entries[alone.assignment[i] - 1].key
-                                       for i, w in enumerate(fleet.workloads, start=1)}
+            assert case.assignment == {w.id: catalog.entries[j - 1].key
+                                       for w, j in zip(fleet.workloads, alone.columns)}
 
 
 @st.composite
 def solutions(draw, model):
-    """A full in-range assignment, then up to three edits: a row dropped, a row
-    outside 1..M added, or a row moved to a column outside 1..N."""
+    """A tuple of any ints, of any length near M, or one column per row with up to
+    three set to a column near 1..N."""
     m, n = model.row_count, model.column_count
-    assignment = {i: draw(st.integers(1, n)) for i in range(1, m + 1)}
-    for edit in draw(st.lists(st.sampled_from(("drop", "extra", "column")), max_size=3)):
-        if edit == "drop" and assignment:
-            del assignment[draw(st.sampled_from(sorted(assignment)))]
-        elif edit == "extra":
-            assignment[draw(st.sampled_from((-1, 0, m + 1, m + 2)))] = draw(st.integers(-1, n + 1))
-        elif edit == "column" and assignment:
-            assignment[draw(st.sampled_from(sorted(assignment)))] = draw(st.sampled_from((-1, 0, n + 1)))
-    return AssignmentSolution(assignment, 0.0)
+    if draw(st.booleans()):
+        return AssignmentSolution(tuple(draw(st.lists(st.integers(), max_size=m + 2))), 0.0)
+    columns = [draw(st.integers(1, n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        columns[draw(st.integers(0, m - 1))] = draw(st.sampled_from((-1, 0, n, n + 1)))
+    return AssignmentSolution(tuple(columns), 0.0)
 
 
 @st.composite
@@ -233,8 +229,12 @@ def models_and_solutions(draw):
 @given(models_and_solutions())
 def test_validation_finds_a_coverage_fault_exactly_when_the_readers_refuse_the_solution(case):
     model, solution = case
+    m, n = model.row_count, model.column_count
     coverage = [v for v in validate_solution(model, solution) if v.kind == "CoverageViolation"]
-    assert [v.row for v in coverage] == sorted(v.row for v in coverage)
+    # the row count first, then each column outside 1..N in row order, and nothing else
+    expected = [None] if len(solution.columns) != m else []
+    expected += [i for i, j in enumerate(solution.columns, 1) if not 1 <= j <= n]
+    assert [v.row for v in coverage] == expected
     for reader in (project_costs, utilization_report, consolidation_report,
                    functools.partial(reports.assignment_spec, default_delta=1.0)):
         if coverage:
@@ -243,3 +243,4 @@ def test_validation_finds_a_coverage_fault_exactly_when_the_readers_refuse_the_s
             assert str(exc.value) == coverage[0].detail
         else:
             reader(model.fleet, model.catalog, solution)
+
