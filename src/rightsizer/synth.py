@@ -21,9 +21,11 @@ class SynthSpec(Frozen):
     __slots__ = _fields = ("seed", "workload_count", "samples_per_series", "catalog")
 
     def __init__(self, seed: int, workload_count: int, samples_per_series: int, catalog: Catalog):
-        # random.Random(None) seeds from the OS: only an int seed gives the same bytes each run
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an int, got {seed!r}")
+        # random.Random(None) seeds from the OS, so only an int seed gives the same bytes each
+        # run; range() takes only int counts, and a bool count would pass as 0 or 1
+        for name, value in zip(self._fields, (seed, workload_count, samples_per_series)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if workload_count < 1:
             raise ValueError("workload_count must be >= 1")
         if samples_per_series < 2:

@@ -201,6 +201,16 @@ def test_synth_spec_refuses_a_seed_that_is_not_an_int(seed):
         SynthSpec(seed, 5, 2, fixture_catalog())
 
 
+@pytest.mark.parametrize("workload_count, samples_per_series, name", [
+    (2.5, 3, "workload_count"), (2, 3.0, "samples_per_series"), (True, 2, "workload_count"),
+    (2, True, "samples_per_series"), ("2", 3, "workload_count"), (2, None, "samples_per_series"),
+], ids=repr)
+def test_synth_spec_refuses_counts_that_are_not_ints(workload_count, samples_per_series, name):
+    # a float count reached range() as a TypeError, and True generated one workload
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        SynthSpec(1, workload_count, samples_per_series, fixture_catalog())
+
+
 def test_bindings_leave_upsizing_headroom():
     catalog = fixture_catalog()
     max_cpu = max(e.cpu_capacity for e in catalog.entries)
