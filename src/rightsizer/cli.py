@@ -113,6 +113,14 @@ _count = _at_least(int, 1, "--count must be >= 1, got {}")
 _samples = _at_least(int, 2, "--samples must be >= 2, got {}")
 
 
+def _sweep_spec(text: str) -> tuple[float, ...]:
+    """`parse_sweep_spec` as an argparse type, so its refusal names --sweep."""
+    try:
+        return parse_sweep_spec(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _load_inputs(args):
     with open(args.catalog, "rb") as fh:
         catalog = load_catalog(fh)
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve one case per utilization factor")
     _add_inputs(p)
     _add_report_flags(p)
-    p.add_argument("--sweep", type=parse_sweep_spec, default=DEFAULT_SWEEP_SPEC,
+    p.add_argument("--sweep", type=_sweep_spec, default=DEFAULT_SWEEP_SPEC,
                    metavar="START:END:STEP",
                    help=f"factor range (default {DEFAULT_SWEEP_SPEC}, 31 cases)")
     p.set_defaults(func=cmd_sweep)

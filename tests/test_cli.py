@@ -350,7 +350,7 @@ def test_a_sweep_spec_whose_factors_collapse_when_rounded_is_refused_before_inpu
     (inputs / "metrics.csv").unlink()
     out = tmp_path / "out"
     assert run(inputs, "sweep", "--sweep", spec, "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith(f"error: sweep spec '{spec}' has factors")
+    assert capsys.readouterr().err.startswith(f"error: argument --sweep: sweep spec '{spec}' has factors")
     assert not out.exists()
 
 
@@ -364,6 +364,24 @@ def test_sweep_spec_case_count_is_bounded_before_allocation(inputs, tmp_path, ca
     assert run(inputs, "sweep", "--sweep", "1.0:2.0:0.00001",  # 100 001 cases
                "--out", str(tmp_path / "out")) == 1
     assert "more than" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1.0:2.0", "sweep spec '1.0:2.0' must be start:end:step"),
+    ("1:2:1_5", "sweep spec '1:2:1_5' has a non-numeric part"),
+    ("1.0:inf:0.1", "sweep spec '1.0:inf:0.1' has a non-finite part"),
+    ("0.5:2.0:0.1", "sweep start must be >= 1 (utilization factors are >= 1)"),
+    ("1.0:2.0:0", "sweep step must be > 0"),
+    ("2.0:1.0:0.1", "sweep end must be >= start"),
+    ("1.0:2.0:0.00001", f"sweep spec '1.0:2.0:0.00001' asks for more than {MAX_SWEEP_CASES} cases"),
+    ("1.0:1.00000000001:1e-12",
+     "sweep spec '1.0:1.00000000001:1e-12' has factors that are equal once rounded to 10 decimals"),
+], ids=["part-count", "non-numeric", "non-finite", "start-below-1", "step-not-positive",
+        "end-below-start", "too-many-cases", "equal-when-rounded"])
+def test_a_refused_sweep_spec_names_its_flag(inputs, tmp_path, capsys, spec, message):
+    assert run(inputs, "sweep", "--sweep", spec, "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: argument --sweep: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -413,8 +431,8 @@ def test_a_number_flag_reads_only_plain_ascii(inputs, tmp_path, capsys, flag_nam
         code = run(inputs, command, flag, value, "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
-    named = (f"error: sweep spec {value!r} has a non-numeric part" if flag == "--sweep"
-             else f"error: argument {flag}: invalid ")
+    named = f"error: argument {flag}: " + (f"sweep spec {value!r} has a non-numeric part" if flag == "--sweep"
+                                           else "invalid ")
     assert err.startswith(named) and err.count("\n") == 1
     assert not out.exists()
 
