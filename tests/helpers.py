@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import re
+import sys
+from pathlib import Path
 
 from rightsizer import (
     AssignmentModel,
@@ -99,3 +102,13 @@ def parse_ampl_data(text: str) -> dict:
         else:
             raise ValueError(f"unexpected statement {kind} {name}")
     return parsed
+
+
+def load_perfbench_inputs():
+    """perfbench/inputs.py, loaded by path: the benchmark's workloads and input writer."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up while it is built
+    spec.loader.exec_module(module)
+    return module

@@ -1,11 +1,10 @@
 import hashlib
-import importlib.util
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
+from helpers import load_perfbench_inputs
 from rightsizer import (
     Catalog,
     InstanceType,
@@ -100,14 +99,6 @@ def test_a_series_that_only_goes_above_100_is_clamped_as_the_reference_clamps_it
     values = [line.rsplit(",", 1)[1] for line in output.metrics_csv.decode().splitlines()[1:]]
     assert "100.00" in values and min(map(float, values)) > 40.0
     assert output == reference_generate(spec)
-
-
-def load_perfbench_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up while it is built
-    spec.loader.exec_module(module)
-    return module
 
 
 # SHA-256 of (metrics.csv, bindings.csv) for each benchmark workload's inputs,

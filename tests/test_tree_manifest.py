@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -30,9 +29,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import load_perfbench_inputs
 from rightsizer import cli
 
-ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
 MANIFEST = DATA / "tree_manifest.json"
 SEED = 1
@@ -40,8 +39,6 @@ SEED = 1
 FIXTURE = "inputs/ingest-day"
 WIDE_SWEEP = "inputs/sweep-wide"
 WIDE_EXPORT = "inputs/export-wide"
-SYNTH = "synth-42"
-QUOTED = "synth-quoted"
 
 
 def _inputs(directory: str, metrics: str = "metrics.csv", catalog: str | None = None) -> list[str]:
@@ -61,9 +58,9 @@ COMMANDS = {
        for fmt in ("json", "text", "csv")},
     "optimize-by-time": ["optimize", *_inputs(FIXTURE, "metrics-by-time.csv"), "--delta", "1.5"],
     "optimize-jittered": ["optimize", *_inputs(FIXTURE, "metrics-jittered.csv"), "--delta", "1.5"],
-    "optimize-quoted": ["optimize", *_inputs(f"out/{QUOTED}", catalog="inputs/catalog_quoted_keys.csv"),
+    "optimize-quoted": ["optimize", *_inputs("out/synth-quoted", catalog="inputs/catalog_quoted_keys.csv"),
                         "--delta", "1.5", "--format", "csv"],
-    "optimize-ties": ["optimize", *_inputs(f"out/{SYNTH}", catalog="inputs/catalog_ties.csv"),
+    "optimize-ties": ["optimize", *_inputs("out/synth-42", catalog="inputs/catalog_ties.csv"),
                       "--delta", "1.5", "--format", "csv"],
     **{f"sweep-{fmt}": ["sweep", *_inputs(WIDE_SWEEP), "--format", fmt] for fmt in ("json", "text", "csv")},
     **{f"sweep-infeasible-{fmt}": ["sweep", *_inputs(WIDE_SWEEP), "--sweep", "1:46:5", "--format", fmt]
@@ -72,14 +69,6 @@ COMMANDS = {
     "export-ampl-policy": ["export-ampl", *_inputs(WIDE_EXPORT), "--policy", f"{WIDE_EXPORT}/policy.csv",
                            "--delta", "1.5"],
 }
-
-
-def load_perfbench_inputs():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up while it is built
-    spec.loader.exec_module(module)
-    return module
 
 
 def _rows(path: Path) -> tuple[bytes, list[bytes]]:
@@ -182,4 +171,4 @@ def test_each_command_writes_its_pinned_tree(actual, entry):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         MANIFEST.write_text(to_text(build_manifest(Path(scratch))), encoding="utf-8")
-    print(f"wrote {MANIFEST.relative_to(ROOT)}", file=sys.stderr)
+    print(f"wrote {MANIFEST}", file=sys.stderr)
