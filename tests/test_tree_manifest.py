@@ -169,6 +169,6 @@ def test_each_command_writes_its_pinned_tree(actual, entry):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        MANIFEST.write_text(to_text(build_manifest(Path(scratch))), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as work:
+        MANIFEST.write_text(to_text(build_manifest(Path(work))), encoding="utf-8")
     print(f"wrote {MANIFEST}", file=sys.stderr)
