@@ -8,8 +8,9 @@ break, which no loader accepts anyway.
 
 The rules all input files share live here, and a breach of any of them
 raises MalformedRowError naming the 1-based physical line:
-- the source is UTF-8 bytes (or a binary stream), with an optional BOM;
-  a text stream is taken as already decoded;
+- the source is bytes, a bytearray or a binary stream (any iterable of
+  bytes lines) of UTF-8, with an optional BOM; text is refused with
+  TypeError before it is read;
 - lines end in LF or CRLF, and the syntax is the csv module's default dialect;
 - no field spans lines: a quoted field must close on the line it opens on,
   the last line included;
@@ -26,11 +27,6 @@ The file is read one line at a time and each line is decoded on its own, so
 reading holds a line in memory, not the file. Errors are therefore raised
 in file order: the first bad line wins, whether its fault is a byte that is
 not UTF-8, CSV syntax, the row's shape or a loader's own rule.
-
-A text stream decodes ahead in blocks of its own size, so when one fails to
-decode, the line named is the first line it had not yet given, which may
-come before the line that holds the bad byte. Only bytes and binary streams
-name that line exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ from typing import Iterable, Iterator
 from .errors import MalformedRowError
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+_NOT_BINARY = "CSV input must be bytes, a bytearray or a binary stream: open the file in binary mode ('rb')"
 
 
 def _lines(source) -> Iterator[str]:
@@ -54,15 +51,18 @@ def _lines(source) -> Iterator[str]:
 
     Bytes are split on LF only and decoded as UTF-8 one line at a time, as
     the line is reached, so a line that is not UTF-8 raises
-    UnicodeDecodeError once every line before it has been read. A text
-    stream is iterated as given.
+    UnicodeDecodeError once every line before it has been read. Text raises
+    TypeError: a text stream before it is read, since it decodes a whole
+    block ahead of the line it gives, and other `str` lines at the first.
     """
+    if isinstance(source, (str, io.TextIOBase)):
+        raise TypeError(_NOT_BINARY)
     lines = iter(io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source)
     first = next(lines, None)
     if first is None:
         return iter(())
-    if isinstance(first, str):
-        return chain((first.removeprefix("\ufeff"),), lines)
+    if not isinstance(first, bytes):
+        raise TypeError(_NOT_BINARY)
     return map(bytes.decode, chain((first.removeprefix(BOM_UTF8),), lines))
 
 
@@ -72,12 +72,11 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
     Rows are read lazily: no line after a row's own is decoded or parsed
     before the row is yielded.
     """
-    reader = None
     # `ended.append` is called once, when the lines run out; it returns None,
     # which ends the second iterator
     ended: list = []
+    reader = csv.reader(chain(_lines(source), iter(partial(ended.append, True), None)))
     try:
-        reader = csv.reader(chain(_lines(source), iter(partial(ended.append, True), None)))
         first = next(reader, None)
         if first is None:
             raise MalformedRowError(1, f"missing header {','.join(header)!r}")
@@ -98,8 +97,7 @@ def iter_rows(source, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]
         raise MalformedRowError(reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         # the reader counts the lines it has been given, and this one it was not
-        # (a text stream can fail on its first line, before the reader exists)
-        raise MalformedRowError(reader.line_num + 1 if reader else 1, "not valid UTF-8") from None
+        raise MalformedRowError(reader.line_num + 1, "not valid UTF-8") from None
 
 
 def csv_text(header: Iterable, rows: Iterable[Iterable]) -> str:

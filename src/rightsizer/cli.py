@@ -36,7 +36,7 @@ _LAYERS = {
     "analysis": ("consolidation_report", "project_costs", "run_sweep", "utilization_report"),
     "reports": ("reports",),
     "solve": ("Infeasible", "solve_exact"),
-    "synth": ("SynthSpec", "generate"),
+    "synth": ("SynthSpec", "generate_parts"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
 
@@ -219,11 +219,12 @@ def cmd_synth(args) -> int:
     _use("synth")
     with open(args.catalog, "rb") as fh:
         catalog = load_catalog(fh)
-    output = generate(SynthSpec(args.seed, args.count, args.samples, catalog))
+    metrics_parts, bindings_csv = generate_parts(SynthSpec(args.seed, args.count, args.samples, catalog))
     os.makedirs(args.out, exist_ok=True)
-    for name, data in (("metrics.csv", output.metrics_csv), ("bindings.csv", output.bindings_csv)):
+    # as in `_write`, the parts are written in order and never joined
+    for name, parts in (("metrics.csv", metrics_parts), ("bindings.csv", (bindings_csv,))):
         with open(os.path.join(args.out, name), "wb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
     return EXIT_OK
 
 

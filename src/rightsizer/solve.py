@@ -55,11 +55,12 @@ class Violation(NamedTuple):
 def _coverage_faults(columns: tuple[int, ...], rows: int, n: int) -> Iterator[tuple[int | None, str]]:
     # The coverage rule: one column of 1..n for each of the rows 1..rows.
     # Yields (row, detail) for a row count other than rows (with row None),
-    # then for each column outside 1..n, in row order.
+    # then for each column outside 1..n, in row order. A column that is not
+    # an int is outside, and so is a bool, which would index as 0 or 1.
     if len(columns) != rows:
         yield None, f"solution assigns rows 1..{len(columns)}, fleet has rows 1..{rows}"
     for i, j in enumerate(columns, 1):
-        if not 1 <= j <= n:
+        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= n:
             yield i, f"row {i} is assigned column {j}, catalog has columns 1..{n}"
 
 

@@ -72,7 +72,17 @@ def generate(spec: SynthSpec) -> SynthOutput:
     The same seed always yields byte-identical output. Each workload gets a
     current type sampled from the catalog's bindable shapes and per-workload
     mean/spread parameters; sample values are gaussian draws clamped to
-    [0, 100].
+    [0, 100]. The metrics bytes are the parts of `generate_parts`, joined.
+    """
+    metrics_parts, bindings_csv = generate_parts(spec)
+    return SynthOutput(metrics_csv=b"".join(metrics_parts), bindings_csv=bindings_csv)
+
+
+def generate_parts(spec: SynthSpec) -> tuple[list[bytes], bytes]:
+    """`generate`'s metrics bytes as parts to write in order, and its bindings bytes.
+
+    The header is the first part and each series one more, so a caller that
+    writes the parts without joining them never holds the file twice.
 
     Each series takes its standard normals from `_normals`: Box–Muller pairs
     from `rng.random()`, drawn in the order `random.gauss` draws them (the
@@ -111,7 +121,4 @@ def generate(spec: SynthSpec) -> SynthOutput:
                 values = [min(max(v, 0.0), 100.0) for v in values]
             row_fields[1::2] = values
             parts.append((templates[metric] % tuple(row_fields)).encode("utf-8"))
-    return SynthOutput(
-        metrics_csv=b"".join(parts),
-        bindings_csv=csv_text(BINDINGS_HEADER, bindings).encode("utf-8"),
-    )
+    return parts, csv_text(BINDINGS_HEADER, bindings).encode("utf-8")

@@ -182,7 +182,9 @@ def test_validate_flags_missing_row():
     ((-1, 1, 4), [(None, "solution assigns rows 1..3, fleet has rows 1..2"),
                   (1, "row 1 is assigned column -1, catalog has columns 1..3"),
                   (3, "row 3 is assigned column 4, catalog has columns 1..3")]),
-], ids=["row-count", "column-after", "column-0", "row-count-then-columns"])
+    ((1, 1.5), [(2, "row 2 is assigned column 1.5, catalog has columns 1..3")]),
+    ((True, 1), [(1, "row 1 is assigned column True, catalog has columns 1..3")]),
+], ids=["row-count", "column-after", "column-0", "row-count-then-columns", "column-float", "column-bool"])
 def test_validate_flags_a_pair_outside_the_matrix(columns, faults):
     fleet = Fleet((
         WorkloadProfile("w1", "lin.a.small.r1", 0.5, 1.0),
@@ -200,6 +202,12 @@ def test_assigned_types_reads_each_row_at_its_place():
     # the first fault in row order is named
     with pytest.raises(RowMismatchError, match="^row 1 is assigned column 4, catalog has columns 1..3$"):
         assigned_types(AssignmentSolution((4, 1, 0), 0.7), catalog, 3)
+
+
+@pytest.mark.parametrize("column", [1.5, True], ids=["float", "bool"])
+def test_assigned_types_refuses_a_column_that_is_not_an_int(column):
+    with pytest.raises(RowMismatchError, match=f"^row 1 is assigned column {column}, catalog has columns 1..3$"):
+        assigned_types(AssignmentSolution((column,), 0.1), abc_catalog(), 1)
 
 
 # --- properties ---------------------------------------------------------------
