@@ -13,7 +13,10 @@ A change that alters output on purpose regenerates the manifest with
 
     PYTHONPATH=src python tests/test_tree_manifest.py
 
-and names each changed entry and its reason in CHANGES.md.
+and names each changed entry and its reason in CHANGES.md. The script needs
+no pytest, so the same command on another interpreter, followed by
+`git diff --exit-code tests/data/tree_manifest.json`, checks that version's
+trees against the pinned ones.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 from helpers import load_perfbench_inputs
 from rightsizer import cli
@@ -150,6 +151,15 @@ def to_text(manifest: dict) -> str:
     return json.dumps(manifest, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+# before pytest is imported, so an interpreter without pytest can re-pin
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        MANIFEST.write_text(to_text(build_manifest(Path(work))), encoding="utf-8")
+    print(f"wrote {MANIFEST}", file=sys.stderr)
+    raise SystemExit
+
+import pytest  # noqa: E402
+
 # absent only before the first regeneration, when every entry reads as new
 EXPECTED = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
 
@@ -168,7 +178,8 @@ def test_each_command_writes_its_pinned_tree(actual, entry):
     assert actual.get(entry) == EXPECTED[entry]
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        MANIFEST.write_text(to_text(build_manifest(Path(work))), encoding="utf-8")
-    print(f"wrote {MANIFEST}", file=sys.stderr)
+@pytest.mark.parametrize("layout", ["optimize-by-time", "optimize-jittered"])
+def test_each_row_layout_writes_the_series_order_tree(actual, layout):
+    # the same rows in another order or at jittered times give the same
+    # demand stats, so the same files; a re-pin alone would accept a change
+    assert actual[layout]["files"] == actual["optimize-json"]["files"]
