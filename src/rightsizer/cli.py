@@ -66,10 +66,9 @@ EXIT_INFEASIBLE = 2
 
 DEFAULT_DELTA = 1.5
 FORMATS = ("json", "text", "csv")
-_EXTENSIONS = {"json": "json", "text": "txt", "csv": "csv"}
-# Each report as (file stem, plot CSV). The plot CSV is written in every
-# --format from the same render as the report's own --format csv file.
-_ASSIGNMENT = ("assignment", None)
+# Each report as (file stem, CSV name). Its CSV is written in every --format;
+# json and text add <stem>.json or <stem>.txt beside it, and csv adds nothing.
+_ASSIGNMENT = ("assignment", "assignment.csv")
 _OPTIMIZE_REPORTS = (_ASSIGNMENT, ("cost_report", "plot_costs.csv"),
                      ("utilization_report", "plot_utilization.csv"),
                      ("consolidation_report", "plot_flow.csv"))
@@ -148,28 +147,24 @@ def _write(out_dir: str, name: str, *parts: str) -> None:
 
 
 def _prepare_out(out_dir: str, report_files, other_outputs: re.Pattern | None = None) -> None:
-    # no output of an earlier run (infeasible, other format, longer sweep) may outlive this one
-    names = {f"{stem}.{ext}" for stem, _ in report_files for ext in _EXTENSIONS.values()}
-    names.update(plot for _, plot in report_files if plot)
+    # no output of an earlier run (infeasible, other format, older layout,
+    # longer sweep) may outlive this one
+    names = {f"{stem}.{ext}" for stem, _ in report_files for ext in ("json", "txt", "csv")}
+    names.update(csv_name for _, csv_name in report_files)
     os.makedirs(out_dir, exist_ok=True)
     for name in os.listdir(out_dir):
         if name in names or (other_outputs and other_outputs.fullmatch(name)):
             os.unlink(os.path.join(out_dir, name))
 
 
-def _emit(out_dir: str, fmt: str, files: tuple[str, str | None], report: reports.Report) -> None:
-    # only the requested format is rendered, and the plot CSV is the CSV render
-    stem, plot = files
-    table_csv = reports.render_csv(report) if plot or fmt == "csv" else None
+def _emit(out_dir: str, fmt: str, files: tuple[str, str], report: reports.Report) -> None:
+    # the CSV is written once, in every format; only the requested other form is rendered
+    stem, csv_name = files
+    _write(out_dir, csv_name, reports.render_csv(report))
     if fmt == "json":
-        text = reports.to_json(report.payload)
+        _write(out_dir, f"{stem}.json", reports.to_json(report.payload))
     elif fmt == "text":
-        text = reports.render_text(report)
-    else:
-        text = table_csv
-    _write(out_dir, f"{stem}.{_EXTENSIONS[fmt]}", text)
-    if plot:
-        _write(out_dir, plot, table_csv)
+        _write(out_dir, f"{stem}.txt", reports.render_text(report))
 
 
 def cmd_optimize(args) -> int:
@@ -185,9 +180,11 @@ def cmd_optimize(args) -> int:
         print(f"infeasible: no catalog type fits {ids} at the requested factor", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    specs = (reports.assignment_spec(fleet, catalog, result, args.delta),
-             reports.cost_spec(project_costs(fleet, catalog, result, args.hours_per_year)),
-             reports.utilization_spec(utilization_report(fleet, catalog, result)),
+    costs = project_costs(fleet, catalog, result, args.hours_per_year)
+    utilization = utilization_report(fleet, catalog, result)
+    specs = (reports.assignment_spec(fleet, catalog, result, costs, utilization, args.delta),
+             reports.cost_spec(costs),
+             reports.utilization_spec(utilization),
              reports.consolidation_spec(consolidation_report(fleet, catalog, result)))
     for files, spec in zip(_OPTIMIZE_REPORTS, specs):
         _emit(out, fmt, files, spec)

@@ -3,8 +3,9 @@
 Each artifact is declared once as a `Report`: its JSON payload, the title
 and summary lines of its text form, its rows, and its columns. A column
 holds its text header, its CSV header, a row getter and a text-cell format,
-so `render_text` and `render_csv` can write any report; the CSV form of a
-report is also its plot CSV.
+so `render_text` and `render_csv` can write any report. The assignment is
+the one per-workload table; the cost and utilization reports hold the
+fleet's figures, and their CSV forms one row of them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .solve import AssignmentSolution, Infeasible, assigned_types
 
 
 def to_json(payload) -> str:
-    """Deterministic JSON rendering of a payload of dicts, lists and scalars."""
+    """Deterministic JSON rendering of a payload of dicts, lists, tuples and scalars."""
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -44,8 +45,9 @@ class Column(NamedTuple):
 class Report(NamedTuple):
     """One artifact: its JSON payload, and the text and CSV forms its columns declare."""
 
-    # what `to_json` writes for --format json: dicts, lists and scalars only,
-    # since json writes a record, being a NamedTuple, as an array
+    # what `to_json` writes for --format json: dicts, lists, tuples and
+    # scalars; json writes a NamedTuple record as an array, so a record goes
+    # in as a dict (`_fields`)
     payload: Any
     title: str
     summary: tuple[str, ...]  # text lines between the title and the table
@@ -54,15 +56,17 @@ class Report(NamedTuple):
 
 
 def render_text(report: Report) -> str:
-    """The title, the indented summary lines and an aligned table of the text columns."""
+    """The title, the indented summary lines and an aligned table of the text columns, if any."""
+    lines = [report.title, *(f"  {line}" for line in report.summary)]
     columns = [c for c in report.columns if c.text is not None]
-    table = [[c.text for c in columns]]
-    table += [[c.cell(c.get(row)) for c in columns] for row in report.rows]
-    widths = [max(map(len, cells)) for cells in zip(*table)]
-    lines = [report.title, *(f"  {line}" for line in report.summary), ""]
-    for cells in table:
-        lines.append("  ".join(cell.ljust(width) if c.left else cell.rjust(width)
-                               for c, cell, width in zip(columns, cells, widths)).rstrip())
+    if columns:
+        table = [[c.text for c in columns]]
+        table += [[c.cell(c.get(row)) for c in columns] for row in report.rows]
+        widths = [max(map(len, cells)) for cells in zip(*table)]
+        lines.append("")
+        for cells in table:
+            lines.append("  ".join(cell.ljust(width) if c.left else cell.rjust(width)
+                                   for c, cell, width in zip(columns, cells, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -98,51 +102,48 @@ def _ttest_line(result: TTestResult | None) -> str:
     return f"t = {result.t_statistic:.4f}, df = {result.degrees_of_freedom:g} ({result.variant})"
 
 
+def _fields(record: NamedTuple, dropped: str) -> dict:
+    """A record's fields by name, in order, without `dropped`."""
+    fields = record._asdict()
+    del fields[dropped]
+    return fields
+
+
+def _fleet_level(payload: dict, title: str, summary: tuple[str, ...], fields: dict) -> Report:
+    # no text table; the CSV is one row, with a column per field
+    return Report(payload, title, summary, (fields,),
+                  tuple(Column(None, name, itemgetter(name)) for name in fields))
+
+
 def cost_spec(report: CostReport) -> Report:
-    return Report(
-        payload={**report._asdict(), "per_workload": [w._asdict() for w in report.per_workload]},
-        title="cost report",
-        summary=(
-            f"hours per year   {report.hours_per_year}",
-            f"baseline hourly  {report.baseline_hourly:.4f} USD/h",
-            f"target hourly    {report.target_hourly:.4f} USD/h",
-            f"baseline annual  {report.baseline_annual:.2f} USD/y",
-            f"target annual    {report.target_annual:.2f} USD/y",
-            f"savings          {100.0 * report.savings_fraction:.2f} %",
-        ),
-        rows=report.per_workload,
-        columns=(
-            Column("workload", "workload_id", attrgetter("id"), left=True),
-            Column("source $/h", "source_hourly", attrgetter("source_hourly"), "{:.4f}".format),
-            Column("target $/h", "target_hourly", attrgetter("target_hourly"), "{:.4f}".format),
-            Column("delta $/h", "delta", attrgetter("delta"), "{:+.4f}".format),
-        ))
+    fields = _fields(report, "per_workload")
+    return _fleet_level(fields, "cost report", (
+        f"hours per year   {report.hours_per_year}",
+        f"baseline hourly  {report.baseline_hourly:.4f} USD/h",
+        f"target hourly    {report.target_hourly:.4f} USD/h",
+        f"baseline annual  {report.baseline_annual:.2f} USD/y",
+        f"target annual    {report.target_annual:.2f} USD/y",
+        f"savings          {100.0 * report.savings_fraction:.2f} %",
+    ), fields)
+
+
+def _ttest_cells(name: str, result: TTestResult | None) -> dict:
+    # a t-test that was not computed leaves its cells empty
+    return {f"{name}_{field}": None if result is None else getattr(result, field)
+            for field in TTestResult._fields}
 
 
 def utilization_spec(report: UtilizationReport) -> Report:
     m = report.means
-    return Report(
-        payload={
-            "per_workload": [w._asdict() for w in report.per_workload],
-            "means": m._asdict(),
-            "cpu_ttest": _ttest_payload(report.cpu_ttest),
-            "mem_ttest": _ttest_payload(report.mem_ttest),
-        },
-        title="utilization report",
-        summary=(
-            f"mean cpu util    {100.0 * m.source_cpu:.2f} % -> {100.0 * m.target_cpu:.2f} %",
-            f"mean mem util    {100.0 * m.source_mem:.2f} % -> {100.0 * m.target_mem:.2f} %",
-            f"cpu t-test       {_ttest_line(report.cpu_ttest)}",
-            f"mem t-test       {_ttest_line(report.mem_ttest)}",
-        ),
-        rows=report.per_workload,
-        columns=(
-            Column("workload", "workload_id", attrgetter("id"), left=True),
-            Column("src cpu %", "source_cpu_util", attrgetter("source_cpu_util"), _percent),
-            Column("tgt cpu %", "target_cpu_util", attrgetter("target_cpu_util"), _percent),
-            Column("src mem %", "source_mem_util", attrgetter("source_mem_util"), _percent),
-            Column("tgt mem %", "target_mem_util", attrgetter("target_mem_util"), _percent),
-        ))
+    payload = {"means": m._asdict(), "cpu_ttest": _ttest_payload(report.cpu_ttest),
+               "mem_ttest": _ttest_payload(report.mem_ttest)}
+    return _fleet_level(payload, "utilization report", (
+        f"mean cpu util    {100.0 * m.source_cpu:.2f} % -> {100.0 * m.target_cpu:.2f} %",
+        f"mean mem util    {100.0 * m.source_mem:.2f} % -> {100.0 * m.target_mem:.2f} %",
+        f"cpu t-test       {_ttest_line(report.cpu_ttest)}",
+        f"mem t-test       {_ttest_line(report.mem_ttest)}",
+    ), {**{f"mean_{name}": value for name, value in m._asdict().items()},
+        **_ttest_cells("cpu", report.cpu_ttest), **_ttest_cells("mem", report.mem_ttest)})
 
 
 def consolidation_spec(report: ConsolidationReport) -> Report:
@@ -174,15 +175,7 @@ def sweep_spec(result: SweepResult) -> Report:
             "baseline_hourly": result.baseline_hourly,
             "baseline_annual": result.baseline_annual,
             "break_even": None if result.break_even is None else result.break_even._asdict(),
-            "cases": [
-                {
-                    "delta": c.delta,
-                    "total_hourly": c.total_hourly,
-                    "total_annual": c.total_annual,
-                    "infeasible_ids": list(c.infeasible_ids),
-                }
-                for c in result.cases
-            ],
+            "cases": [_fields(c, "assignment") for c in result.cases],
         },
         title="sweep report",
         summary=(
@@ -214,13 +207,12 @@ def sweep_case_payload(case_number: int, case) -> dict:
 
 
 def assignment_spec(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution,
-                    default_delta: float) -> Report:
-    records = [{
-        "workload_id": w.id,
-        "current_type": w.current_type,
-        "target_type": target.key,
-        "target_hourly": target.hourly_cost,
-    } for w, target in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet)))]
+                    costs: CostReport, utilization: UtilizationReport, default_delta: float) -> Report:
+    """The per-workload table: types, and the prices and utilizations `costs` and `utilization` hold."""
+    records = [{"workload_id": w.id, "current_type": w.current_type, "target_type": target.key,
+                **_fields(cost, "id"), **_fields(util, "id")}
+               for w, target, cost, util in zip(fleet.workloads, assigned_types(solution, catalog, len(fleet)),
+                                                costs.per_workload, utilization.per_workload, strict=True)]
     return Report(
         payload={
             "status": "optimal",
@@ -235,7 +227,13 @@ def assignment_spec(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution
             Column("workload", "workload_id", itemgetter("workload_id"), left=True),
             Column("current type", "current_type", itemgetter("current_type"), left=True),
             Column("target type", "target_type", itemgetter("target_type"), left=True),
+            Column("source $/h", "source_hourly", itemgetter("source_hourly"), "{:.4f}".format),
             Column("target $/h", "target_hourly", itemgetter("target_hourly"), "{:.4f}".format),
+            Column("delta $/h", "delta", itemgetter("delta"), "{:+.4f}".format),
+            Column("src cpu %", "source_cpu_util", itemgetter("source_cpu_util"), _percent),
+            Column("tgt cpu %", "target_cpu_util", itemgetter("target_cpu_util"), _percent),
+            Column("src mem %", "source_mem_util", itemgetter("source_mem_util"), _percent),
+            Column("tgt mem %", "target_mem_util", itemgetter("target_mem_util"), _percent),
         ))
 
 
@@ -244,14 +242,7 @@ def infeasible_spec(result: Infeasible, default_delta: float) -> Report:
         payload={
             "status": "infeasible",
             "default_delta": default_delta,
-            "infeasible": [
-                {
-                    "workload_id": r.workload_id,
-                    "cpu_required": r.cpu_required,
-                    "mem_required": r.mem_required,
-                }
-                for r in result.rows
-            ],
+            "infeasible": [_fields(r, "row") for r in result.rows],
         },
         title="assignment",
         summary=("status: infeasible (no catalog type fits the scaled demand)",),

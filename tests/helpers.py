@@ -11,13 +11,17 @@ from pathlib import Path
 
 from rightsizer import (
     AssignmentModel,
+    AssignmentSolution,
     Catalog,
     Fleet,
     InstanceType,
     UtilizationPolicy,
     WorkloadProfile,
     build_model,
+    project_costs,
+    utilization_report,
 )
+from rightsizer import reports
 
 # Small three-column catalog used by many hand-checked cases:
 # capacities double per step, costs 0.10 / 0.20 / 0.40.
@@ -38,6 +42,15 @@ def one_workload_fleet(cpu=1.5, mem=3.0, current_type="lin.a.small.r1") -> Fleet
 
 def model_for(fleet: Fleet, catalog: Catalog, delta: float) -> AssignmentModel:
     return build_model(fleet, catalog, UtilizationPolicy.uniform(delta))
+
+
+def assignment_report(fleet: Fleet, catalog: Catalog, solution: AssignmentSolution):
+    """`reports.assignment_spec` as a reader of `solution` alone. Its costs and
+    utilizations are those of every row at column 1, which is always in range,
+    so a fault in `solution` is refused by the spec's own check."""
+    every_row_at_1 = AssignmentSolution((1,) * len(fleet), 0.0)
+    return reports.assignment_spec(fleet, catalog, solution, project_costs(fleet, catalog, every_row_at_1),
+                                   utilization_report(fleet, catalog, every_row_at_1), 1.0)
 
 
 # Grids keep ties common so the cost/cpu/mem/key tie-break chain is exercised.

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 from fractions import Fraction
@@ -6,8 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy import stats as scipy_stats
 
-from helpers import abc_catalog, model_for, random_trial_model
-from rightsizer import reports
+from helpers import abc_catalog, assignment_report, model_for, random_trial_model
 from rightsizer import (
     AssignmentSolution,
     Catalog,
@@ -96,8 +94,7 @@ def test_totals_do_not_depend_on_fleet_order():
 
 # every reader of a solution's rows; the assignment report bills each row too
 SOLUTION_READERS = [project_costs, utilization_report, consolidation_report,
-                    pytest.param(functools.partial(reports.assignment_spec, default_delta=1.0),
-                                 id="assignment_spec")]
+                    pytest.param(assignment_report, id="assignment_spec")]
 
 
 def two_row_fleet():

@@ -86,6 +86,11 @@ def test_optimize_happy_path(inputs, tmp_path):
     costs = json.loads((out / "cost_report.json").read_text())
     assert costs["baseline_hourly"] == pytest.approx(0.10)
     assert costs["target_hourly"] == pytest.approx(0.20)
+    # with one workload no t-test is computed, and its CSV cells are empty
+    with open(out / "plot_utilization.csv", encoding="utf-8", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["mean_source_cpu"] == "0.75"
+    assert {row[f"{r}_{f}"] for r in ("cpu", "mem") for f in ("t_statistic", "degrees_of_freedom", "variant")} == {""}
 
 
 def test_optimize_rejects_delta_below_one(inputs, tmp_path, capsys):
@@ -236,13 +241,15 @@ def test_optimize_reruns_leave_only_their_own_outputs(inputs, tmp_path):
     (out / "notes.txt").write_text("not an output")
     assert run(inputs, "optimize", "--delta", "1.5", "--out", str(out)) == 0
     assert run(inputs, "optimize", "--delta", "50", "--out", str(out)) == 2
-    assert sorted(p.name for p in out.iterdir()) == ["assignment.json", "keep", "notes.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["assignment.csv", "assignment.json", "keep", "notes.txt"]
 
     assert run(inputs, "optimize", "--delta", "1.5", "--out", str(out)) == 0
+    # a copy of plot_costs.csv that an older version wrote under the report's own name
+    (out / "cost_report.csv").write_text("workload_id,source_hourly,target_hourly,delta\n")
     assert run(inputs, "optimize", "--delta", "1.5", "--format", "text", "--out", str(out)) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "assignment.txt", "consolidation_report.txt", "cost_report.txt", "keep", "notes.txt",
-        "plot_costs.csv", "plot_flow.csv", "plot_utilization.csv", "utilization_report.txt"]
+        "assignment.csv", "assignment.txt", "consolidation_report.txt", "cost_report.txt", "keep",
+        "notes.txt", "plot_costs.csv", "plot_flow.csv", "plot_utilization.csv", "utilization_report.txt"]
 
 
 def test_optimize_renders_only_the_requested_format(inputs, tmp_path, monkeypatch):
@@ -252,18 +259,49 @@ def test_optimize_renders_only_the_requested_format(inputs, tmp_path, monkeypatc
             calls.append(_name)
             return _render(*args)
         monkeypatch.setattr(reports, name, counted)
-    # the three plot CSVs are rendered in every format; with csv, that one
-    # render is also the report's own .csv
-    for fmt, requested in (("json", ["to_json"] * 4), ("text", ["render_text"] * 4),
-                           ("csv", ["render_csv"])):
+    # each report's CSV is rendered once in every format; json and text add
+    # one render of their own per report, and csv adds none
+    for fmt, requested in (("json", ["to_json"] * 4), ("text", ["render_text"] * 4), ("csv", [])):
         calls.clear()
         out = tmp_path / fmt
         assert run(inputs, "optimize", "--delta", "1.5", "--format", fmt, "--out", str(out)) == 0
-        assert sorted(calls) == sorted(["render_csv"] * 3 + requested)
-    csv_out = tmp_path / "csv"
-    for report, plot in (("cost_report", "plot_costs"), ("utilization_report", "plot_utilization"),
-                         ("consolidation_report", "plot_flow")):
-        assert (csv_out / f"{report}.csv").read_bytes() == (csv_out / f"{plot}.csv").read_bytes()
+        assert sorted(calls) == sorted(["render_csv"] * 4 + requested)
+    csv_names = ["assignment.csv", "plot_costs.csv", "plot_flow.csv", "plot_utilization.csv"]
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == csv_names
+    for name in csv_names:
+        assert (tmp_path / "json" / name).read_bytes() == (tmp_path / "text" / name).read_bytes() \
+            == (tmp_path / "csv" / name).read_bytes()
+
+
+def test_each_per_workload_fact_comes_from_its_analysis(tmp_path):
+    files = {name: DATA / "reports" / f"{name}.csv" for name in ("catalog", "metrics", "bindings")}
+    out = tmp_path / "out"
+    assert main(["optimize", *(arg for name, path in files.items() for arg in (f"--{name}", str(path))),
+                 "--delta", "1.5", "--out", str(out)]) == 0
+    catalog = load_catalog(files["catalog"].read_bytes())
+    fleet = build_fleet(ingest_metrics(files["metrics"].read_bytes()), catalog,
+                        load_bindings(files["bindings"].read_bytes()))
+    result = solve_exact(build_model(fleet, catalog, UtilizationPolicy.uniform(1.5)))
+    costs = project_costs(fleet, catalog, result).per_workload
+    utilization = utilization_report(fleet, catalog, result).per_workload
+
+    records = json.loads((out / "assignment.json").read_text())["assignments"]
+    with open(out / "assignment.csv", encoding="utf-8", newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    assert len(records) == len(csv_rows) == len(costs) == len(utilization) == len(fleet) > 1
+    for record, csv_row, w, cost, util in zip(records, csv_rows, fleet.workloads, costs, utilization):
+        assert list(record) == list(csv_row) == [
+            "workload_id", "current_type", "target_type", "source_hourly", "target_hourly", "delta",
+            "source_cpu_util", "target_cpu_util", "source_mem_util", "target_mem_util"]
+        assert record["workload_id"] == csv_row["workload_id"] == w.id == cost.id == util.id
+        assert record["current_type"] == csv_row["current_type"] == w.current_type
+        numbers = {**cost._asdict(), **util._asdict()}
+        del numbers["id"]
+        for field, value in numbers.items():
+            assert type(record[field]) is float and record[field] == value, field
+            assert float(csv_row[field]) == value, field
+    for name in ("cost_report.json", "utilization_report.json"):
+        assert "per_workload" not in json.loads((out / name).read_text()), name
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -318,9 +356,9 @@ def test_sweep_rerun_in_another_format_replaces_its_report(inputs, tmp_path):
     out = tmp_path / "out"
     assert run(inputs, "sweep", "--sweep", "1.0:1.2:0.1", "--out", str(out)) == 0
     assert run(inputs, "sweep", "--sweep", "1.0:1.1:0.1", "--format", "csv", "--out", str(out)) == 0
-    assert sorted(p.name for p in out.iterdir()) == [
-        "case-1.json", "case-2.json", "plot_annual_cost.csv", "sweep_report.csv"]
-    assert (out / "sweep_report.csv").read_bytes() == (out / "plot_annual_cost.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["case-1.json", "case-2.json", "plot_annual_cost.csv"]
+    # the header and one line per case of the second run
+    assert len((out / "plot_annual_cost.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_parse_sweep_spec_matches_default():
@@ -597,13 +635,12 @@ def test_synth_then_optimize_on_keys_that_need_quoting(tmp_path):
     if isinstance(result, Infeasible):
         expected = {"assignment.csv": reports.infeasible_spec(result, 1.5)}
     else:
-        cost = reports.cost_spec(project_costs(fleet, catalog, result))
-        utilization = reports.utilization_spec(utilization_report(fleet, catalog, result))
-        flow = reports.consolidation_spec(consolidation_report(fleet, catalog, result))
-        expected = {"assignment.csv": reports.assignment_spec(fleet, catalog, result, 1.5),
-                    "cost_report.csv": cost, "plot_costs.csv": cost,
-                    "utilization_report.csv": utilization, "plot_utilization.csv": utilization,
-                    "consolidation_report.csv": flow, "plot_flow.csv": flow}
+        costs = project_costs(fleet, catalog, result)
+        utilization = utilization_report(fleet, catalog, result)
+        expected = {"assignment.csv": reports.assignment_spec(fleet, catalog, result, costs, utilization, 1.5),
+                    "plot_costs.csv": reports.cost_spec(costs),
+                    "plot_utilization.csv": reports.utilization_spec(utilization),
+                    "plot_flow.csv": reports.consolidation_spec(consolidation_report(fleet, catalog, result))}
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, report in expected.items():
         columns = [c for c in report.columns if c.csv is not None]

@@ -296,6 +296,22 @@ def test_a_fault_next_to_a_block_boundary_is_named_as_in_a_short_run(fault, inde
     assert str(long.value) == str(short.value).replace("line 3:", f"line {start + index + 2}:")
 
 
+def test_a_clean_run_is_added_in_blocks_of_at_most_block_rows(monkeypatch):
+    # 2 * BLOCK + 1 rows: the first row alone, BLOCK buffered rows, then a new
+    # run's first row alone and its BLOCK - 1 rows; a cap one row late buffers BLOCK + 1
+    sizes = []
+    add_run = metrics_module.SeriesAccumulator.add_run
+
+    def counted(self, timestamps, values):
+        sizes.append(len(timestamps))
+        return add_run(self, timestamps, values)
+    monkeypatch.setattr(metrics_module.SeriesAccumulator, "add_run", counted)
+    rows = run_rows(2 * BLOCK + 1)
+    series = ingest_metrics(metrics_bytes(*rows))["w1"][Metric.CPU]
+    assert max(sizes) <= BLOCK and sizes.count(BLOCK) == 1, sizes
+    assert series.count == len(rows)
+
+
 @pytest.mark.parametrize("start", [0, START])
 def test_a_long_run_is_added_in_blocks_so_its_peak_memory_does_not_grow_with_it(start):
     rows = [f"w1,{1_704_067_200 + 300 * k},cpu,{k % 89}.5" for k in range(100_000)]

@@ -2,7 +2,6 @@
 fresh solves at each factor, and the one coverage rule that validation and every reader
 of a solution apply."""
 
-import functools
 import math
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rightsizer import reports  # noqa: E402
+from helpers import assignment_report  # noqa: E402
 from rightsizer import (  # noqa: E402
     AssignmentSolution,
     Catalog,
@@ -235,8 +234,7 @@ def test_validation_finds_a_coverage_fault_exactly_when_the_readers_refuse_the_s
     expected = [None] if len(solution.columns) != m else []
     expected += [i for i, j in enumerate(solution.columns, 1) if not 1 <= j <= n]
     assert [v.row for v in coverage] == expected
-    for reader in (project_costs, utilization_report, consolidation_report,
-                   functools.partial(reports.assignment_spec, default_delta=1.0)):
+    for reader in (project_costs, utilization_report, consolidation_report, assignment_report):
         if coverage:
             with pytest.raises(RowMismatchError) as exc:
                 reader(model.fleet, model.catalog, solution)

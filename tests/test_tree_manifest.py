@@ -183,3 +183,11 @@ def test_each_row_layout_writes_the_series_order_tree(actual, layout):
     # the same rows in another order or at jittered times give the same
     # demand stats, so the same files; a re-pin alone would accept a change
     assert actual[layout]["files"] == actual["optimize-json"]["files"]
+
+
+@pytest.mark.parametrize("entry", sorted(COMMANDS))
+def test_no_two_files_of_one_tree_are_identical(actual, entry):
+    # each report's CSV is written once, under one name, so a copy of a file
+    # is waste; the inputs are not one command's tree (workloads share catalogs)
+    files = actual[entry]["files"]
+    assert len(set(files.values())) == len(files), sorted(files)
